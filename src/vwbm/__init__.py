@@ -1,18 +1,16 @@
 """Exact invariants of the Veech-Ward-Bouw-Moller Teichmuller curves T(n, m)."""
 
-from .exact import (CyclotomicElement, IntPolynomial, Residue, chebyshev_c,
-                    cyclotomic_poly, euler_phi, galois_orbit_fixes,
-                    subfield_degree)
+from .exact import (CyclotomicElement, IntPolynomial, chebyshev_c,
+                    cyclotomic_poly, euler_phi, subfield_degree)
 from .generators import (GeneratorEquation, differential_description,
                          generator_equation, verify_equation_numeric)
 from .invariants import (Classification, CurveReport, admissible_triangle_group,
                          algebraically_primitive, classify, covers,
                          curve_report, genus, hecke_scalars, is_arithmetic,
-                         lyapunov_spectrum, tiling_flags, trace_degrees,
+                         lyapunov_spectrum, trace_degrees,
                          trace_degrees_oracle, verify_cover)
-from .rowspan import (CurveParams, RowVector, Summand, defining_matrix,
-                      klein_action, row_span, summand_dimension, summands,
-                      t_values)
+from .rowspan import (CurveParams, Summand, klein_action, row_span,
+                      summand_dimension, summands)
 from .surface import (CombSurface, Square, SymmetryLift, build_surface,
                       cylinder_preservation_check, lift_class_count,
                       lift_sigma2, lift_sigma4, surface_genus)
@@ -20,16 +18,16 @@ from .surface import (CombSurface, Square, SymmetryLift, build_surface,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CyclotomicElement", "IntPolynomial", "Residue", "chebyshev_c",
-    "cyclotomic_poly", "euler_phi", "galois_orbit_fixes", "subfield_degree",
+    "CyclotomicElement", "IntPolynomial", "chebyshev_c", "cyclotomic_poly",
+    "euler_phi", "subfield_degree",
     "GeneratorEquation", "differential_description", "generator_equation",
     "verify_equation_numeric",
     "Classification", "CurveReport", "admissible_triangle_group",
     "algebraically_primitive", "classify", "covers", "curve_report", "genus",
-    "hecke_scalars", "is_arithmetic", "lyapunov_spectrum", "tiling_flags",
-    "trace_degrees", "trace_degrees_oracle", "verify_cover",
-    "CurveParams", "RowVector", "Summand", "defining_matrix", "klein_action",
-    "row_span", "summand_dimension", "summands", "t_values",
+    "hecke_scalars", "is_arithmetic", "lyapunov_spectrum", "trace_degrees",
+    "trace_degrees_oracle", "verify_cover",
+    "CurveParams", "Summand", "klein_action", "row_span", "summand_dimension",
+    "summands",
     "CombSurface", "Square", "SymmetryLift", "build_surface",
     "cylinder_preservation_check", "lift_class_count", "lift_sigma2",
     "lift_sigma4", "surface_genus",

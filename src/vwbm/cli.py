@@ -29,7 +29,7 @@ from .rowspan import CurveParams, Summand, summands
 from .surface import (build_surface, cylinder_preservation_check, fixed_edges,
                       lift_class_count, lift_sigma2, lift_sigma4,
                       surface_genus)
-from .verify import run_suite
+from .verify import run_suite, valid_pairs
 
 SCHEMA = "vwbm-report/1"
 FORMATS = ("json", "csv", "md")
@@ -101,7 +101,7 @@ def _report_dict(report: CurveReport) -> dict:
         "primitivity": {
             "arithmetic": report.arithmetic,
             "applicable": v.applicable,
-            "algebraically_primitive": report.algebraically_primitive,
+            "algebraically_primitive": v.primitive,
             "by_criterion": v.by_criterion,
             "by_trace_degree": v.by_trace_degree,
         },
@@ -190,17 +190,10 @@ def cmd_info(args) -> int:
     return 0
 
 
-def _table_pairs(nmax: int, mmax: int) -> list[CurveParams]:
-    out = []
-    for n in range(2, nmax + 1):
-        for m in range(2, mmax + 1):
-            if n * m >= 6:
-                out.append(CurveParams(n, m))
-    return out
-
-
 def cmd_table(args) -> int:
-    pairs = _table_pairs(args.nmax, args.mmax)
+    pairs = [CurveParams(n, m)
+             for n, m in valid_pairs(max(args.nmax, args.mmax))
+             if n <= args.nmax and m <= args.mmax]
     if args.format == "json":
         payload = []
         for params in pairs:

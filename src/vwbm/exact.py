@@ -1,4 +1,4 @@
-r"""Exact arithmetic substrate: residues, integer polynomials, cyclotomic numbers.
+r"""Exact arithmetic substrate: integer polynomials and cyclotomic numbers.
 
 Conventions used throughout the package:
 
@@ -18,75 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
-
-
-def fractional_part(q: Fraction) -> Fraction:
-    """Return {q}, the unique representative of q mod 1 in [0, 1)."""
-    return q - math.floor(q)
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z/NZ, stored as its canonical representative in [0, N).
-
-    Arithmetic between residues with different moduli is rejected; plain
-    integers are promoted to the modulus at hand.
-    """
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus <= 0:
-            raise ValueError("modulus must be positive")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other) -> "Residue":
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    f"mixed moduli {self.modulus} and {other.modulus}")
-            return other
-        if isinstance(other, int):
-            return Residue(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Residue":
-        return Residue(-self.value, self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"Residue({self.value}, mod {self.modulus})"
 
 
 @dataclass(frozen=True)
@@ -478,14 +409,6 @@ class CyclotomicElement:
                     if row[i]:
                         out[i] += c * row[i]
         return CyclotomicElement(self.order, tuple(out))
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coords[1:])
-
-
-def galois_orbit_fixes(e: CyclotomicElement, a: int) -> bool:
-    """True iff the automorphism x -> x^a fixes the element e."""
-    return e.galois(a) == e
 
 
 def units_mod(K: int) -> list[int]:

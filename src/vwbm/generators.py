@@ -80,7 +80,8 @@ def generator_equation(params: CurveParams) -> GeneratorEquation:
         rhs = (U_MINUS_2 ** (n // 2)) * half
         eq = GeneratorEquation(
             CASE_BOTH_EVEN, n, rhs, (n // 2, half, 1), U_MINUS_2 * half)
-    assert eq.rhs.is_monic()
+    if not eq.rhs.is_monic():
+        raise AssertionError(f"rhs of T({n},{m}) is not monic")
     return eq
 
 
@@ -142,13 +143,14 @@ def verify_equation_numeric(eq: GeneratorEquation, params: CurveParams,
 def differential_description(eq: GeneratorEquation) -> dict:
     """Structured rendering of the one-form y du / D(u).
 
-    Also asserts the exact divisibility D^2 | (u-2)^a rhs^b appropriate to
+    Also checks the exact divisibility D^2 | (u-2)^a rhs^b appropriate to
     the case: D^2 = (u-2) rhs for odd m, D^2 | (u-2) rhs for even m with n
     odd, and D^2 | (u-2)^2 rhs^2 when both are even.
     """
     d2 = eq.differential_denominator * eq.differential_denominator
     if eq.case == CASE_M_ODD:
-        assert d2 == U_MINUS_2 * eq.rhs
+        if d2 != U_MINUS_2 * eq.rhs:
+            raise AssertionError("D^2 differs from (u - 2) rhs for odd m")
     elif eq.case == CASE_M_EVEN_N_ODD:
         (U_MINUS_2 * eq.rhs).exact_div(d2)
     else:

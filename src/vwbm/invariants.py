@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import CyclotomicElement, euler_phi, subfield_degree
+from .exact import CyclotomicElement, _divisors, euler_phi, subfield_degree
 from .generators import GeneratorEquation, generator_equation
 from .rowspan import CurveParams, Summand, _matrix_rows, _span_entries, summands
 
@@ -43,7 +43,8 @@ def genus(params: CurveParams) -> int:
         num, den = a + 3 - 2 * g, 4
     else:
         num, den = a + 3 - g, 4
-    assert num % den == 0, (n, m)
+    if num % den:
+        raise AssertionError(f"genus closed form is fractional at ({n},{m})")
     return num // den
 
 
@@ -102,7 +103,7 @@ def classify(params: CurveParams) -> Classification:
 
 
 # ---------------------------------------------------------------------------
-# spectrum and tiling flags
+# spectrum
 # ---------------------------------------------------------------------------
 
 def lyapunov_spectrum(params: CurveParams) -> tuple[Fraction, ...]:
@@ -112,22 +113,9 @@ def lyapunov_spectrum(params: CurveParams) -> tuple[Fraction, ...]:
     return tuple(s.lyapunov for s in summands(params))
 
 
-def tiling_flags(params: CurveParams) -> tuple[bool, ...]:
-    """Per-summand flag: are mu and nu both unit fractions (1/m', 1/n')?
-
-    Flagged triangles tile the hyperbolic plane, and their (n', m') are
-    exactly the curves covered by T(n, m), together with (n, m) itself.
-    """
-    return tuple(s.tiling for s in summands(params))
-
-
 # ---------------------------------------------------------------------------
 # covering relations
 # ---------------------------------------------------------------------------
-
-def _divisors(k: int) -> list[int]:
-    return [d for d in range(1, k + 1) if k % d == 0]
-
 
 def covers_criterion(big: CurveParams, small: CurveParams) -> bool:
     """Divisibility test: n' | n, m' | m, and when n and m are both even
@@ -202,14 +190,16 @@ def trace_degrees(params: CurveParams) -> tuple[int, int]:
     """
     n, m, g = params.n, params.m, params.gamma
     phi = euler_phi(2 * params.l)
+    if phi % (4 if g == 1 else 2):
+        raise AssertionError(f"phi(2l) = {phi} is not divisible as expected")
     deg_f = phi // 4 if g == 1 else phi // 2
-    assert (phi % 4 == 0) if g == 1 else (phi % 2 == 0)
     if n % 2 or m % 2:
         deg_e = deg_f
     elif g > 2 and ((n // g) % 2 == 0 or (m // g) % 2 == 0):
         deg_e = phi // 2
     else:
-        assert phi % 4 == 0
+        if phi % 4:
+            raise AssertionError(f"phi(2l) = {phi} is not divisible by 4")
         deg_e = phi // 4
     return deg_f, deg_e
 
@@ -337,7 +327,6 @@ class CurveReport:
     trace_degree_F: int
     trace_degree_E: int
     admissible_triangle_group: bool
-    algebraically_primitive: bool
     primitivity: PrimitivityVerdict
     hecke_field_degree: int
     generator: GeneratorEquation
@@ -349,7 +338,6 @@ def curve_report(params: CurveParams) -> CurveReport:
     cls = classify(params)
     sums = summands(params)
     deg_f, deg_e = trace_degrees(params)
-    verdict = algebraically_primitive(params)
     hecke = hecke_scalars(params)
     notes = [f"T({params.n},{params.m}) = T({params.m},{params.n})"]
     if cls.arithmetic:
@@ -374,8 +362,7 @@ def curve_report(params: CurveParams) -> CurveReport:
         trace_degree_F=deg_f,
         trace_degree_E=deg_e,
         admissible_triangle_group=admissible_triangle_group(params),
-        algebraically_primitive=verdict.primitive,
-        primitivity=verdict,
+        primitivity=algebraically_primitive(params),
         hecke_field_degree=hecke.field_degree,
         generator=generator_equation(params),
         notes=tuple(notes),

@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exact import Residue
-
 KLEIN_ELEMENTS = ("id", "sigma2", "sigma3", "sigma4")
 
 # Coordinate permutations: sigma2 = (12)(34), sigma4 = (14)(23) and
@@ -32,6 +30,8 @@ _KLEIN_PERMS = {
     "sigma4": (3, 2, 1, 0),
     "sigma3": (2, 3, 0, 1),
 }
+
+Vector = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -57,56 +57,18 @@ class CurveParams:
     def l(self) -> int:
         return lcm(self.n, self.m)
 
-    def swapped(self) -> "CurveParams":
-        return CurveParams(self.m, self.n)
-
-
-@dataclass(frozen=True)
-class RowVector:
-    """An element of (Z/NZ)^4, stored with canonical entries in [0, N)."""
-
-    modulus: int
-    entries: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        if self.modulus <= 0:
-            raise ValueError("modulus must be positive")
-        if len(self.entries) != 4:
-            raise ValueError("a row vector has four entries")
-        object.__setattr__(
-            self, "entries", tuple(v % self.modulus for v in self.entries))
-
-    def __add__(self, other: "RowVector") -> "RowVector":
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-        return RowVector(
-            self.modulus,
-            tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "RowVector":
-        return RowVector(self.modulus, tuple(-v for v in self.entries))
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.entries)
-
-    def has_zero_entry(self) -> bool:
-        return 0 in self.entries
-
-    def residues(self) -> tuple[Residue, Residue, Residue, Residue]:
-        return tuple(Residue(v, self.modulus) for v in self.entries)
-
 
 @dataclass(frozen=True)
 class Summand:
     """A selected row vector with its triangle angles and Lyapunov exponent.
 
-    Angles are in units of pi; kappa is always 0, mu has denominator
-    dividing m and nu has denominator dividing n.  ``tiling`` is set when
-    mu and nu are both unit fractions, i.e. when the (kappa, mu, nu)
-    triangle tiles the hyperbolic plane.
+    ``vector`` has canonical entries in [0, N).  Angles are in units of pi;
+    kappa is always 0, mu has denominator dividing m and nu has denominator
+    dividing n.  ``tiling`` is set when mu and nu are both unit fractions,
+    i.e. when the (kappa, mu, nu) triangle tiles the hyperbolic plane.
     """
 
-    vector: RowVector
+    vector: Vector
     kappa: Fraction
     mu: Fraction
     nu: Fraction
@@ -118,77 +80,70 @@ class Summand:
         return (self.kappa, self.mu, self.nu)
 
 
-def _matrix_rows(n: int, m: int) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
+def _matrix_rows(n: int, m: int) -> tuple[Vector, Vector]:
     nm = n * m
     row1 = (nm - n - m, nm + n - m, nm + n + m, nm - n + m)
     row2 = (row1[1], row1[0], row1[3], row1[2])
     return row1, row2
 
 
-def defining_matrix(params: CurveParams) -> tuple[tuple[Residue, ...], tuple[Residue, ...]]:
-    """The two defining rows of S(n, m), reduced mod N = 2nm."""
-    N = params.N
-    return tuple(
-        tuple(Residue(v, N) for v in row) for row in _matrix_rows(params.n, params.m))
+def span_closure(gens, modulus: int) -> tuple[tuple[int, ...], ...]:
+    """The subgroup of (Z/modulus)^k generated by the given k-tuples, sorted.
 
-
-@lru_cache(maxsize=64)
-def _span_entries(n: int, m: int) -> tuple[tuple[int, int, int, int], ...]:
-    """All elements of the row span as canonical integer 4-tuples, sorted."""
-    N = 2 * n * m
-    gens = [tuple(v % N for v in row) for row in _matrix_rows(n, m)]
-    seen = {(0, 0, 0, 0)}
-    frontier = [(0, 0, 0, 0)]
-    cap = N * N
+    Enumerated by breadth-first closure under generator addition.  The
+    subgroup has at most modulus^min(#gens, k) elements; exceeding that
+    bound raises.
+    """
+    gens = [tuple(v % modulus for v in g) for g in gens]
+    zero = (0,) * len(gens[0])
+    cap = modulus ** min(len(gens), len(zero))
+    seen = {zero}
+    frontier = [zero]
     while frontier:
         nxt = []
         for e in frontier:
             for g in gens:
-                cand = tuple((a + b) % N for a, b in zip(e, g))
+                cand = tuple([(a + b) % modulus for a, b in zip(e, g)])
                 if cand not in seen:
                     seen.add(cand)
                     nxt.append(cand)
         frontier = nxt
-        assert len(seen) <= cap, "row-span closure exceeded its bound"
+        if len(seen) > cap:
+            raise AssertionError("span closure exceeded its bound")
     return tuple(sorted(seen))
 
 
-def row_span(params: CurveParams) -> tuple[RowVector, ...]:
-    """The subgroup of (Z/NZ)^4 generated by the two defining rows.
-
-    Enumerated by breadth-first closure under generator addition and
-    returned without duplicates in lexicographic order.
-    """
-    N = params.N
-    return tuple(RowVector(N, e) for e in _span_entries(params.n, params.m))
+@lru_cache(maxsize=64)
+def _span_entries(n: int, m: int) -> tuple[Vector, ...]:
+    return span_closure(_matrix_rows(n, m), 2 * n * m)
 
 
-def t_values(r: RowVector) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction]:
-    """The fractional parts t_j = {r_j / N} and their sum t."""
-    ts = tuple(Fraction(v, r.modulus) for v in r.entries)
-    return ts + (sum(ts, Fraction(0)),)
+def row_span(params: CurveParams) -> tuple[Vector, ...]:
+    """The subgroup of (Z/NZ)^4 generated by the two defining rows, as
+    canonical integer 4-tuples in lexicographic order."""
+    return _span_entries(params.n, params.m)
 
 
-def klein_action(r: RowVector, element: str) -> RowVector:
+def klein_action(r: Vector, element: str) -> Vector:
     """Apply a Klein four-group element, acting by coordinate permutation."""
     try:
         perm = _KLEIN_PERMS[element]
     except KeyError:
         raise ValueError(f"unknown Klein element {element!r}; "
                          f"expected one of {KLEIN_ELEMENTS}") from None
-    return RowVector(r.modulus, tuple(r.entries[i] for i in perm))
+    return tuple(r[i] for i in perm)
 
 
-def klein_orbit(r: RowVector) -> frozenset[RowVector]:
+def klein_orbit(r: Vector) -> frozenset[Vector]:
     return frozenset(klein_action(r, e) for e in KLEIN_ELEMENTS)
 
 
-def klein_orbits(params: CurveParams) -> list[frozenset[RowVector]]:
+def klein_orbits(params: CurveParams) -> list[frozenset[Vector]]:
     """The Klein orbits of the nonzero row-span elements."""
-    seen: set[RowVector] = set()
+    seen: set[Vector] = set()
     orbits = []
     for r in row_span(params):
-        if r.is_zero() or r in seen:
+        if not any(r) or r in seen:
             continue
         orbit = klein_orbit(r)
         seen.update(orbit)
@@ -196,19 +151,20 @@ def klein_orbits(params: CurveParams) -> list[frozenset[RowVector]]:
     return orbits
 
 
-def summand_dimension(r: RowVector) -> int:
+def summand_dimension(r: Vector, N: int) -> int:
     """dim of the piece attached to r: t(r) + t(-r) - 2, or 0 on zero entries.
 
-    Zero entries of a row-span element come in the pairs {1,3} or {2,4},
-    and such pieces vanish.  The zero vector is rejected.
+    ``r`` has canonical entries in [0, N).  Zero entries of a row-span
+    element come in the pairs {1,3} or {2,4}, and such pieces vanish.  The
+    zero vector is rejected.
     """
-    if r.is_zero():
+    if not any(r):
         raise ValueError("the zero vector carries no summand")
-    if r.has_zero_entry():
+    if 0 in r:
         return 0
-    N = r.modulus
-    total = sum(r.entries) + sum((-v) % N for v in r.entries)
-    assert total % N == 0
+    total = sum(r) + sum((-v) % N for v in r)
+    if total % N:
+        raise AssertionError(f"t(r) + t(-r) is not an integer at {r}")
     return total // N - 2
 
 
@@ -216,34 +172,30 @@ def summands(params: CurveParams) -> tuple[Summand, ...]:
     """The selected summands of S(n, m), in canonical order.
 
     Selection: r in the row span with t(r) = 2 = t(-r) and
-    t_1(r) > max(t_2, t_3, t_4); this picks one representative from each
-    size-four Klein orbit of nonzero pieces.  With t_i = t_i(-r) the angles
-    are kappa = |1 - t1 - t3| (always 0), mu = |1 - t2 - t3| and
-    nu = |1 - t1 - t2|, and the Lyapunov exponent is
+    t_1(r) > max(t_2, t_3, t_4), where t_j(r) = {r_j / N}; this picks one
+    representative from each size-four Klein orbit of nonzero pieces.  With
+    t_i = t_i(-r) the angles are kappa = |1 - t1 - t3| (always 0),
+    mu = |1 - t2 - t3| and nu = |1 - t1 - t2|, and the Lyapunov exponent is
     2 min_j {t_j, 1 - t_j} / (1 - 1/n - 1/m).
 
     Canonical order: descending Lyapunov exponent, then lexicographic
     (mu, nu).  The count of summands equals the genus of T(n, m).
     """
     n, m, N = params.n, params.m, params.N
-    nm = n * m
     out = []
     for e in _span_entries(n, m):
-        if 0 in e:
-            continue
-        # t(r) = 2 means the canonical entries sum to 2N, and likewise for -r.
-        neg = tuple((-v) % N for v in e)
-        if sum(e) != 2 * N or sum(neg) != 2 * N:
+        # With no zero entry, -r has entries N - r_j, so t(r) = 2 (entries
+        # summing to 2N) already gives t(-r) = 4 - t(r) = 2.
+        if 0 in e or sum(e) != 2 * N:
             continue
         if not (e[0] > e[1] and e[0] > e[2] and e[0] > e[3]):
             continue
-        t = [Fraction(v, N) for v in neg]
-        kappa = abs(1 - t[0] - t[2])
-        mu = abs(1 - t[1] - t[2])
-        nu = abs(1 - t[0] - t[1])
-        minval = min(min(v, N - v) for v in neg)
-        lyap = Fraction(minval, nm - n - m)
-        tiling = mu.numerator == 1 and nu.numerator == 1
-        out.append(Summand(RowVector(N, e), kappa, mu, nu, lyap, tiling))
+        # |1 - t_i(-r) - t_j(-r)| = |r_i + r_j - N| / N
+        mu = Fraction(abs(e[1] + e[2] - N), N)
+        nu = Fraction(abs(e[0] + e[1] - N), N)
+        out.append(Summand(
+            e, Fraction(abs(e[0] + e[2] - N), N), mu, nu,
+            Fraction(min(min(v, N - v) for v in e), n * m - n - m),
+            mu.numerator == 1 and nu.numerator == 1))
     out.sort(key=lambda s: (-s.lyapunov, s.mu, s.nu))
     return tuple(out)

@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .rowspan import CurveParams, _matrix_rows
+from .rowspan import CurveParams, _matrix_rows, span_closure
 
 WHITE = "w"
 BLACK = "b"
@@ -72,37 +72,12 @@ class ColumnSpan:
     columns: tuple[Pair, Pair, Pair, Pair]
     elements: tuple[Pair, ...]
 
-    def __contains__(self, pair: Pair) -> bool:
-        return (pair[0] % self.modulus, pair[1] % self.modulus) in self._index
-
-    @property
-    def _index(self) -> frozenset:
-        return self._index_cache
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index_cache", frozenset(self.elements))
-
     def order_of(self, pair: Pair) -> int:
         """Order of an element of (Z/NZ)^2 (componentwise lcm of orders)."""
         N = self.modulus
         oa = N // gcd(pair[0] % N, N) if pair[0] % N else 1
         ob = N // gcd(pair[1] % N, N) if pair[1] % N else 1
         return oa * ob // gcd(oa, ob)
-
-
-def _close_under_addition(modulus: int, gens: list[Pair]) -> tuple[Pair, ...]:
-    seen = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                cand = ((e[0] + g[0]) % modulus, (e[1] + g[1]) % modulus)
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return tuple(sorted(seen))
 
 
 @dataclass(frozen=True)
@@ -159,16 +134,13 @@ class CombSurface:
             return Square(self.add(sq.label, off), BLACK)
         return Square(self.sub(sq.label, off), WHITE)
 
-    def color_flip(self, sq: Square) -> Square:
-        return Square(sq.label, BLACK if sq.color == WHITE else WHITE)
-
 
 def build_surface(params: CurveParams) -> CombSurface:
     """Enumerate the column span and assemble the colored squares."""
     N = params.N
     rows = _matrix_rows(params.n, params.m)
     columns = tuple((rows[0][j] % N, rows[1][j] % N) for j in range(4))
-    elements = _close_under_addition(N, list(columns))
+    elements = span_closure(columns, N)
     span = ColumnSpan(N, columns, elements)
     squares = tuple(
         Square(label, color) for label in elements for color in (WHITE, BLACK))
@@ -352,7 +324,8 @@ def surface_genus(surface: CombSurface) -> int:
         chi -= 1 - Fraction(1, surface.span.order_of(col))
     chi *= G
     g = (2 - chi) / 2
-    assert g.denominator == 1 and g >= 0
+    if g.denominator != 1 or g < 0:
+        raise AssertionError(f"Euler characteristic {chi} gives genus {g}")
     return int(g)
 
 

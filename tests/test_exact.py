@@ -5,39 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vwbm.exact import (CyclotomicElement, IntPolynomial, Residue, X,
-                        chebyshev_c, cyclotomic_poly, euler_phi,
-                        fractional_part, galois_orbit_fixes, subfield_degree,
+from vwbm.exact import (CyclotomicElement, IntPolynomial, X, chebyshev_c,
+                        cyclotomic_poly, euler_phi, subfield_degree,
                         units_mod)
-
-
-# ---------------------------------------------------------------------------
-# residues and rationals
-# ---------------------------------------------------------------------------
-
-def test_residue_reduces_and_computes():
-    a = Residue(30, 28)
-    assert a.value == 2
-    assert (a + Residue(27, 28)).value == 1
-    assert (a - 5).value == (2 - 5) % 28
-    assert (-a).value == 26
-    assert (a * 15).value == 30 % 28
-    assert int(3 + a) == 5
-
-
-def test_residue_rejects_mixed_moduli():
-    with pytest.raises(ValueError):
-        Residue(1, 12) + Residue(1, 28)
-    with pytest.raises(ValueError):
-        Residue(1, 0)
-
-
-@given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
-def test_fractional_part_range(num, den):
-    q = Fraction(num, den)
-    f = fractional_part(q)
-    assert 0 <= f < 1
-    assert (q - f).denominator == 1
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +136,10 @@ def test_chebyshev_recurrence_and_numeric_law():
 
 def test_galois_fixes_examples():
     e = CyclotomicElement.from_root_powers(28, (1, -1))
-    assert galois_orbit_fixes(e, 27)       # complex conjugation
-    assert not galois_orbit_fixes(e, 3)
+    assert e.galois(27) == e       # complex conjugation
+    assert e.galois(3) != e
     one = CyclotomicElement.one(28)
-    assert all(galois_orbit_fixes(one, a) for a in units_mod(28))
+    assert all(one.galois(a) == one for a in units_mod(28))
     with pytest.raises(ValueError):
         e.galois(14)
 

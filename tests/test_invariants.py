@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from vwbm.exact import CyclotomicElement, galois_orbit_fixes
+from vwbm.exact import CyclotomicElement
 from vwbm.invariants import (admissible_triangle_group,
                              algebraically_primitive, classify, covers,
                              covers_criterion, curve_report, genus,
                              hecke_scalars, is_arithmetic, lyapunov_spectrum,
-                             tiling_flags, trace_degrees,
+                             trace_degrees,
                              trace_degrees_oracle, verify_cover)
 from vwbm.rowspan import CurveParams, summands
 
@@ -124,7 +124,7 @@ def test_tiling_flags_examples():
     assert flagged_triples(4, 6) == {
         (F(0), F(1, 3), F(1, 2)), (F(0), F(1, 2), F(1, 4)),
         (F(0), F(1, 6), F(1, 4))}
-    flags = tiling_flags(CurveParams(2, 9))
+    flags = [s.tiling for s in summands(CurveParams(2, 9))]
     assert len(flags) == 4 and sum(flags) == 2
 
 
@@ -175,7 +175,7 @@ def test_hecke_scalars_2_7():
     N = params.N
     # all three scalars are real: fixed by conjugation a = -1
     for s in hecke.scalars:
-        assert galois_orbit_fixes(s, N - 1)
+        assert s.galois(N - 1) == s
     # (p, q) = (1, 1) gives 2 zeta^(r1+r2) + 2 zeta^-(r1+r2) = -4 here
     assert hecke.scalars[0] == CyclotomicElement.rational(N, -4)
 
@@ -214,7 +214,7 @@ def test_curve_report_2_7():
     assert report.genus == 3
     assert sorted(report.spectrum) == [F(1, 5), F(3, 5), F(1)]
     assert not report.arithmetic
-    assert report.algebraically_primitive
+    assert report.primitivity.primitive
     assert report.trace_degree_E == report.hecke_field_degree == 3
     assert report.covers == ()
     assert "T(2,7) = T(7,2)" in report.notes

@@ -2,15 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from vwbm.rowspan import (CurveParams, RowVector, defining_matrix,
-                          klein_action, klein_orbit, row_span,
-                          summand_dimension, summands, t_values)
+from vwbm.rowspan import (CurveParams, _matrix_rows, klein_action,
+                          klein_orbit, row_span, span_closure,
+                          summand_dimension, summands)
 
 F = Fraction
-
-
-def entries(matrix_row):
-    return tuple(r.value for r in matrix_row)
 
 
 # ---------------------------------------------------------------------------
@@ -26,7 +22,6 @@ def test_invalid_parameters_rejected(n, m):
 def test_derived_parameters():
     p = CurveParams(4, 6)
     assert (p.N, p.gamma, p.l) == (48, 2, 12)
-    assert p.swapped() == CurveParams(6, 4)
 
 
 @pytest.mark.parametrize("n,m,row1,row2", [
@@ -35,10 +30,10 @@ def test_derived_parameters():
     (4, 5, (11, 19, 29, 21), (19, 11, 21, 29)),
 ])
 def test_defining_matrix(n, m, row1, row2):
-    top, bottom = defining_matrix(CurveParams(n, m))
-    assert entries(top) == row1
-    assert entries(bottom) == row2
-    assert all(r.modulus == 2 * n * m for r in top + bottom)
+    top, bottom = _matrix_rows(n, m)
+    assert top == row1
+    assert bottom == row2
+    assert all(0 <= v < 2 * n * m for v in top + bottom)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +52,7 @@ def _cyclic(vec, N):
 def test_row_span_2_7_contents_and_size():
     params = CurveParams(2, 7)
     span = row_span(params)
-    as_entries = {r.entries for r in span}
+    as_entries = set(span)
     assert (0, 0, 0, 0) in as_entries
     # m odd: (m, m, -m, -m) and (n, -n, -n, n) belong to the span
     assert (7, 7, 21, 21) in as_entries
@@ -66,7 +61,7 @@ def test_row_span_2_7_contents_and_size():
     g1 = _cyclic((5, 9, 23, 19), 28)
     g2 = _cyclic((9, 5, 19, 23), 28)
     assert len(as_entries) == len(g1) * len(g2) // len(g1 & g2)
-    assert list(span) == sorted(span, key=lambda r: r.entries)
+    assert list(span) == sorted(span)
     assert len(span) == len(as_entries)
 
 
@@ -74,7 +69,7 @@ def test_row_span_always_contains_stated_vectors():
     for n, m in [(2, 7), (3, 4), (4, 6), (5, 5), (4, 4)]:
         params = CurveParams(n, m)
         N = params.N
-        got = {r.entries for r in row_span(params)}
+        got = set(row_span(params))
         assert tuple(v % N for v in (2 * m, 2 * m, -2 * m, -2 * m)) in got
         assert tuple(v % N for v in (2 * n, -2 * n, -2 * n, 2 * n)) in got
         assert tuple(v % N for v in (-n - m, n - m, n + m, -n + m)) in got
@@ -83,18 +78,11 @@ def test_row_span_always_contains_stated_vectors():
             assert tuple(v % N for v in (n, -n, -n, n)) in got
 
 
-# ---------------------------------------------------------------------------
-# t-values
-# ---------------------------------------------------------------------------
-
-def test_t_values_examples():
-    neg_first_row = RowVector(28, (-5, -9, -23, -19))
-    assert t_values(neg_first_row) == (
-        F(23, 28), F(19, 28), F(5, 28), F(9, 28), F(2))
-    zero = RowVector(28, (0, 0, 0, 0))
-    assert t_values(zero) == (0, 0, 0, 0, 0)
-    half = RowVector(28, (14, 14, 14, 14))
-    assert t_values(half) == (F(1, 2), F(1, 2), F(1, 2), F(1, 2), F(2))
+def test_span_closure_any_tuple_length():
+    assert span_closure([(4,), (6,)], 10) == ((0,), (2,), (4,), (6,), (8,))
+    assert span_closure([(1, 2)], 6) == (
+        (0, 0), (1, 2), (2, 4), (3, 0), (4, 2), (5, 4))
+    assert span_closure(_matrix_rows(2, 7), 28) == row_span(CurveParams(2, 7))
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +90,9 @@ def test_t_values_examples():
 # ---------------------------------------------------------------------------
 
 def test_klein_action_permutations():
-    r = RowVector(28, (5, 9, 23, 19))
-    assert klein_action(r, "sigma2").entries == (9, 5, 19, 23)
-    assert klein_action(r, "sigma4").entries == (19, 23, 9, 5)
+    r = (5, 9, 23, 19)
+    assert klein_action(r, "sigma2") == (9, 5, 19, 23)
+    assert klein_action(r, "sigma4") == (19, 23, 9, 5)
     s3 = klein_action(klein_action(r, "sigma4"), "sigma2")
     assert klein_action(r, "sigma3") == s3
     assert klein_action(s3, "sigma3") == klein_action(r, "id") == r
@@ -114,11 +102,11 @@ def test_klein_action_permutations():
 
 def test_klein_orbit_sizes():
     # generic vector: orbit of size 4
-    assert len(klein_orbit(RowVector(28, (5, 9, 23, 19)))) == 4
+    assert len(klein_orbit((5, 9, 23, 19))) == 4
     # sigma2-fixed vector: orbit of size 2
-    assert len(klein_orbit(RowVector(28, (7, 7, 21, 21)))) == 2
+    assert len(klein_orbit((7, 7, 21, 21))) == 2
     # fully fixed vector
-    assert len(klein_orbit(RowVector(28, (14, 14, 14, 14)))) == 1
+    assert len(klein_orbit((14, 14, 14, 14))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +114,11 @@ def test_klein_orbit_sizes():
 # ---------------------------------------------------------------------------
 
 def test_summand_dimension():
-    assert summand_dimension(RowVector(28, (5, 9, 23, 19))) == 2
-    assert summand_dimension(RowVector(28, (7, 7, 21, 21))) == 2
-    assert summand_dimension(RowVector(28, (0, 9, 0, 19))) == 0
+    assert summand_dimension((5, 9, 23, 19), 28) == 2
+    assert summand_dimension((7, 7, 21, 21), 28) == 2
+    assert summand_dimension((0, 9, 0, 19), 28) == 0
     with pytest.raises(ValueError):
-        summand_dimension(RowVector(28, (0, 0, 0, 0)))
+        summand_dimension((0, 0, 0, 0), 28)
 
 
 # ---------------------------------------------------------------------------

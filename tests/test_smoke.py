@@ -1,0 +1,51 @@
+"""End-to-end checks that run the package in a fresh interpreter under -O.
+
+Optimized mode strips bare ``assert`` statements, so these tests make sure
+the package's own checks are explicit raises that survive it.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import vwbm
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_optimized(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-O", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_every_export_resolves():
+    missing = [name for name in vwbm.__all__ if not hasattr(vwbm, name)]
+    assert missing == []
+
+
+def test_verify_passes_under_optimized_mode():
+    proc = run_optimized("-m", "vwbm.cli", "verify", "4")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines and all(line.startswith("PASS") for line in lines)
+
+
+def test_differential_check_survives_optimized_mode():
+    code = """
+import dataclasses
+from vwbm.generators import differential_description, generator_equation
+from vwbm.rowspan import CurveParams
+eq = generator_equation(CurveParams(2, 7))
+print(eq.case)
+bad = dataclasses.replace(eq, differential_denominator=eq.rhs)
+try:
+    differential_description(bad)
+except AssertionError:
+    print("raised")
+"""
+    proc = run_optimized("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["m_odd", "raised"]

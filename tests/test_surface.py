@@ -182,8 +182,8 @@ def test_surface_genus_2_3():
 @pytest.mark.parametrize("n,m", [(2, 3), (2, 7), (3, 4), (4, 4), (4, 5)])
 def test_dimension_sum_matches_cover_genus(n, m):
     params = CurveParams(n, m)
-    total = sum(summand_dimension(r) for r in row_span(params)
-                if not r.is_zero())
+    total = sum(summand_dimension(r, params.N) for r in row_span(params)
+                if any(r))
     assert total == 2 * surface_genus(build_surface(params))
 
 

@@ -5,7 +5,7 @@ import pytest
 from vwbm.cli import main
 from vwbm.generators import generator_equation, verify_equation_numeric
 from vwbm.rowspan import CurveParams
-from vwbm.verify import (CheckResult, check_klein_orbits,
+from vwbm.verify import (CheckResult, _thread_cap, check_klein_orbits,
                          check_rowspan_identities, check_swap_symmetry,
                          run_suite, valid_pairs)
 
@@ -47,6 +47,18 @@ def test_run_suite_all_names_every_level():
 def test_parallel_map_via_env(monkeypatch):
     monkeypatch.setenv("VWBM_THREADS", "2")
     assert check_rowspan_identities(6).passed
+
+
+def test_thread_cap_is_clamped(monkeypatch):
+    pairs = valid_pairs(6)
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setenv("VWBM_THREADS", "100000")
+    assert _thread_cap(pairs) == 4
+    assert _thread_cap(pairs[:3]) == 3
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _thread_cap(pairs) == 1
+    monkeypatch.setenv("VWBM_THREADS", "-5")
+    assert _thread_cap(pairs) == 1
 
 
 def test_check_result_lines():
