@@ -7,7 +7,9 @@ Conventions used throughout the package:
   coefficients in ascending degree with no trailing zeros; the zero
   polynomial has an empty coefficient tuple;
 * an element of Q(zeta_K) is a :class:`CyclotomicElement` written in the
-  power basis 1, x, ..., x^(phi(K)-1) modulo the K-th cyclotomic polynomial.
+  power basis 1, x, ..., x^(phi(K)-1) modulo the K-th cyclotomic polynomial;
+  it is built as a sum of roots of unity, and Galois automorphisms act on
+  such a sum by scaling its exponents.
 
 No floating point is used anywhere in this module.
 """
@@ -308,8 +310,10 @@ class CyclotomicElement:
     """An element of Q(zeta_K) in the power basis modulo Phi_K.
 
     ``coords`` has length phi(K).  Equality is coordinate-wise, which is
-    exact equality in the field.  The Galois action of a unit a mod K sends
-    x to x^a and is a ring automorphism.
+    exact equality in the field.  Elements are built from root sums; the
+    Galois automorphism zeta -> zeta^a of a unit a mod K acts on a root sum
+    by scaling its exponents, which is how :func:`subfield_degree` applies
+    it.
     """
 
     order: int
@@ -322,93 +326,11 @@ class CyclotomicElement:
         object.__setattr__(
             self, "coords", tuple(Fraction(c) for c in self.coords))
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, K: int) -> "CyclotomicElement":
-        return cls(K, (Fraction(0),) * euler_phi(K))
-
-    @classmethod
-    def one(cls, K: int) -> "CyclotomicElement":
-        return cls.rational(K, Fraction(1))
-
-    @classmethod
-    def rational(cls, K: int, q) -> "CyclotomicElement":
-        coords = [Fraction(0)] * euler_phi(K)
-        coords[0] = Fraction(q)
-        return cls(K, tuple(coords))
-
-    @classmethod
-    def root_power(cls, K: int, e: int) -> "CyclotomicElement":
-        """zeta_K^e."""
-        return cls.from_root_powers(K, (e,))
-
     @classmethod
     def from_root_powers(cls, K: int, exponents: Iterable[int]) -> "CyclotomicElement":
         """Sum of zeta_K^e over the exponent multiset."""
         vec = _root_sum_vector(K, exponents)
         return cls(K, tuple(Fraction(v) for v in vec))
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def _check(self, other: "CyclotomicElement"):
-        if self.order != other.order:
-            raise ValueError("mixed cyclotomic orders")
-
-    def __add__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        self._check(other)
-        return CyclotomicElement(
-            self.order,
-            tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "CyclotomicElement") -> "CyclotomicElement":
-        self._check(other)
-        return CyclotomicElement(
-            self.order,
-            tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "CyclotomicElement":
-        return CyclotomicElement(self.order, tuple(-a for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicElement(
-                self.order, tuple(a * other for a in self.coords))
-        if not isinstance(other, CyclotomicElement):
-            return NotImplemented
-        self._check(other)
-        d = len(self.coords)
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    if b:
-                        prod[i + j] += a * b
-        phi = cyclotomic_poly(self.order).coeffs
-        for i in range(len(prod) - 1, d - 1, -1):
-            c = prod[i]
-            if c:
-                prod[i] = Fraction(0)
-                for t in range(d):
-                    prod[i - d + t] -= c * phi[t]
-        return CyclotomicElement(self.order, tuple(prod[:d]))
-
-    __rmul__ = __mul__
-
-    def galois(self, a: int) -> "CyclotomicElement":
-        """Apply the automorphism x -> x^a; a must be a unit mod the order."""
-        if math.gcd(a, self.order) != 1:
-            raise ValueError(f"{a} is not a unit modulo {self.order}")
-        table = _power_residues(self.order)
-        d = len(self.coords)
-        out = [Fraction(0)] * d
-        for j, c in enumerate(self.coords):
-            if c:
-                row = table[(a * j) % self.order]
-                for i in range(d):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return CyclotomicElement(self.order, tuple(out))
 
 
 def units_mod(K: int) -> list[int]:

@@ -36,6 +36,15 @@ sigma_4 (corner 1 to corner 4) admit the color-swapping lifts
 Both variants are involutions commuting with sigma2~; when n or m is odd
 they are conjugate under the deck group, when both are even they represent
 the two distinct conjugacy classes of fixed-point lifts.
+
+Every lift, and every translate T_e of one, is affine on labels: it sends
+c of color k to A c + s_k with the color flipped, where A is the swap for
+sigma2 and minus the swap for sigma4, and it is stored as (s_w, s_b).
+Composites of lifts and translations are again affine with linear part +-1
+or +-swap, so an identity between two of them with the same linear part
+holds on every square once it holds on the white and the black square
+labelled (0, 0).  Involution, commutation and conjugation relations are
+checked on those two squares only.
 """
 from __future__ import annotations
 
@@ -147,27 +156,41 @@ def build_surface(params: CurveParams) -> CombSurface:
     return CombSurface(params, span, squares)
 
 
-@dataclass(eq=False)
+# Where affine identities are checked; see the module docstring.
+PROBES = (Square((0, 0), WHITE), Square((0, 0), BLACK))
+
+
+@dataclass(frozen=True, eq=False)
 class SymmetryLift:
-    """A lift of a pillowcase symmetry, as a total map on squares."""
+    """A lift of a pillowcase symmetry: the square c of color k goes to
+    linear(c) + shifts[k] with the color flipped, shifts = (white, black)."""
 
     surface: CombSurface
     kind: str                 # "sigma2" | "sigma4"
     variant: int | None
-    mapping: dict[Square, Square]
+    shifts: tuple[Pair, Pair]
+
+    def linear(self, c: Pair) -> Pair:
+        if self.kind == "sigma2":
+            return (c[1], c[0])
+        return self.surface.neg((c[1], c[0]))
 
     def __call__(self, sq: Square) -> Square:
-        return self.mapping[sq]
+        if sq.color == WHITE:
+            shift, color = self.shifts[0], BLACK
+        else:
+            shift, color = self.shifts[1], WHITE
+        return Square(self.surface.add(self.linear(sq.label), shift), color)
 
     def is_involution(self) -> bool:
-        return all(self.mapping[img] == sq for sq, img in self.mapping.items())
+        return all(self(self(sq)) == sq for sq in PROBES)
 
     def composed_with_translation(self, shift: Pair) -> "SymmetryLift":
         """T_shift composed after this lift (another lift of the same symmetry)."""
-        move = self.surface.translation(shift)
+        white, black = self.shifts
         return SymmetryLift(
             self.surface, self.kind, None,
-            {sq: move(img) for sq, img in self.mapping.items()})
+            (self.surface.add(white, shift), self.surface.add(black, shift)))
 
 
 def lift_sigma2(surface: CombSurface) -> SymmetryLift:
@@ -175,40 +198,30 @@ def lift_sigma2(surface: CombSurface) -> SymmetryLift:
 
     It fixes the 34 edge of the white square labelled (0, 0).
     """
-    mapping = {}
-    for sq in surface.squares:
-        c1, c2 = sq.label
-        mapping[sq] = Square((c2, c1), BLACK if sq.color == WHITE else WHITE)
-    return SymmetryLift(surface, "sigma2", None, mapping)
+    return SymmetryLift(surface, "sigma2", None, ((0, 0), (0, 0)))
 
 
 def lift_sigma4(surface: CombSurface, variant: int = 1) -> SymmetryLift:
     """An explicit fixed-point lift of sigma_4; see the module docstring.
 
-    Variant 2 exists as a separate conjugacy class only when n and m are
-    both even and is rejected otherwise.
+    The shifts of the docstring formulas are columns of the defining
+    matrix mod N: (col_4, col_3) for variant 1 and (col_1, col_2) for
+    variant 2, so they lie in the deck group.  Variant 2 exists as a
+    separate conjugacy class only when n and m are both even and is
+    rejected otherwise.
     """
     params = surface.params
-    n, m = params.n, params.m
-    nm = n * m
+    c1, c2, c3, c4 = surface.span.columns
     if variant == 1:
-        w_shift = (nm - n + m, nm + n + m)
-        b_shift = (nm + n + m, nm - n + m)
+        shifts = (c4, c3)
     elif variant == 2:
-        if n % 2 or m % 2:
+        if params.n % 2 or params.m % 2:
             raise ValueError(
                 "variant 2 is a distinct lift only when n and m are both even")
-        w_shift = (nm - n - m, nm + n - m)
-        b_shift = (nm + n - m, nm - n - m)
+        shifts = (c1, c2)
     else:
         raise ValueError("variant must be 1 or 2")
-    mapping = {}
-    for sq in surface.squares:
-        c1, c2 = sq.label
-        shift = w_shift if sq.color == WHITE else b_shift
-        label = surface.add((-c2, -c1), shift)
-        mapping[sq] = Square(label, BLACK if sq.color == WHITE else WHITE)
-    return SymmetryLift(surface, "sigma4", variant, mapping)
+    return SymmetryLift(surface, "sigma4", variant, shifts)
 
 
 def fixed_edges(surface: CombSurface, lift: SymmetryLift) -> tuple[tuple[Square, str], ...]:
@@ -241,48 +254,45 @@ class CheckReport:
 def intertwine_check(surface: CombSurface,
                      lift2: SymmetryLift,
                      lift4: SymmetryLift) -> CheckReport:
-    """Conjugation of the deck group by the lifts, checked on every square.
+    """Conjugation of the deck group by the lifts.
 
     Specific relations: s2 T1 s2 = T2, s2 T3 s2 = T4, s4 T1 s4 = T4,
     s4 T2 s4 = T3.  General form, for every deck element (c1, c2):
     s2 (c1, c2) s2 = (c2, c1) and s4 (c1, c2) s4 = (-c2, -c1).
+
+    Each relation is checked on ``PROBES``.  For an involution L the map
+    c -> L T_c L is a homomorphism, and so is c -> T_(A c) for the linear
+    part A of L.  Once both lifts are checked to be involutions, the general
+    form therefore follows from its instances at the four columns, which
+    generate the deck group, and no loop over deck elements is needed.
     """
     pairs = [(lift2, 1, 2), (lift2, 3, 4), (lift4, 1, 4), (lift4, 2, 3)]
     for lift, a, b in pairs:
         ta, tb = surface.deck(a), surface.deck(b)
-        for sq in surface.squares:
+        for sq in PROBES:
             if lift(ta(lift(sq))) != tb(sq):
                 return CheckReport(
                     False, (sq,),
                     f"{lift.kind} T{a} {lift.kind} != T{b} at {sq}")
-    for c in surface.span.elements:
-        tc = surface.translation(c)
-        swap = surface.translation((c[1], c[0]))
-        nswap = surface.translation(surface.neg((c[1], c[0])))
-        for sq in surface.squares:
-            if lift2(tc(lift2(sq))) != swap(sq):
-                return CheckReport(False, (sq, c), "sigma2 conjugation failed")
-            if lift4(tc(lift4(sq))) != nswap(sq):
-                return CheckReport(False, (sq, c), "sigma4 conjugation failed")
+    for lift in (lift2, lift4):
+        if not lift.is_involution():
+            return CheckReport(False, (PROBES[0],),
+                               f"{lift.kind} is not an involution")
+        for c in surface.span.columns:
+            tc = surface.translation(c)
+            image = surface.translation(lift.linear(c))
+            for sq in PROBES:
+                if lift(tc(lift(sq))) != image(sq):
+                    return CheckReport(False, (sq, c),
+                                       f"{lift.kind} conjugation failed")
     return CheckReport(True)
 
 
 def commute_check(lift_a: SymmetryLift, lift_b: SymmetryLift) -> CheckReport:
-    for sq in lift_a.surface.squares:
+    for sq in PROBES:
         if lift_a(lift_b(sq)) != lift_b(lift_a(sq)):
             return CheckReport(False, (sq,), f"lifts do not commute at {sq}")
     return CheckReport(True)
-
-
-def _cyclic_subgroup(surface: CombSurface, gen: Pair) -> frozenset:
-    N = surface.span.modulus
-    out = set()
-    cur = (0, 0)
-    while True:
-        out.add(cur)
-        cur = ((cur[0] + gen[0]) % N, (cur[1] + gen[1]) % N)
-        if cur == (0, 0):
-            return frozenset(out)
 
 
 def cylinder_preservation_check(surface: CombSurface, lift: SymmetryLift) -> CheckReport:
@@ -297,11 +307,10 @@ def cylinder_preservation_check(surface: CombSurface, lift: SymmetryLift) -> Che
     """
     c1, c2, c3, c4 = surface.span.columns
     if lift.kind == "sigma2":
-        sub = _cyclic_subgroup(surface, surface.add(c1, c4))
-        offsets = {WHITE: (0, 0), BLACK: (0, 0)}
+        gen, offsets = surface.add(c1, c4), {WHITE: (0, 0), BLACK: (0, 0)}
     else:
-        sub = _cyclic_subgroup(surface, surface.add(c1, c2))
-        offsets = {WHITE: c4, BLACK: c3}
+        gen, offsets = surface.add(c1, c2), {WHITE: c4, BLACK: c3}
+    sub = set(span_closure((gen,), surface.span.modulus))
     for sq in surface.squares:
         img = lift(sq)
         if img.color == sq.color:
@@ -348,8 +357,8 @@ def lift_class_count(surface: CombSurface) -> LiftClassSummary:
     by the deck group.  The count is 1 when n or m is odd and 2 when both
     are even.
 
-    Conjugation is reduced to offset bookkeeping, which is sound because the
-    conjugation relations are first verified on every square.
+    Conjugation is reduced to offset bookkeeping, which is sound because
+    ``intertwine_check`` first verifies the conjugation relations.
     """
     base2 = lift_sigma2(surface)
     base4 = lift_sigma4(surface, 1)
@@ -357,38 +366,26 @@ def lift_class_count(surface: CombSurface) -> LiftClassSummary:
     if not rel.ok:
         raise AssertionError(f"conjugation relations failed: {rel.detail}")
 
-    span = surface.span
-    elements = span.elements
+    elements = surface.span.elements
     add, sub_ = surface.add, surface.sub
 
-    def candidates(base: SymmetryLift) -> list[Pair]:
-        out = []
-        for e in elements:
-            cand = base.composed_with_translation(e)
-            if cand.is_involution() and fixed_edges(surface, cand):
-                out.append(e)
-        return out
+    def candidates(base: SymmetryLift) -> list[SymmetryLift]:
+        lifts = [base.composed_with_translation(e) for e in elements]
+        return [lift for lift in lifts
+                if lift.is_involution() and fixed_edges(surface, lift)]
 
-    cands2 = candidates(base2)
-    cands4 = candidates(base4)
-
-    valid_pairs = []
-    lifts4 = {f: base4.composed_with_translation(f) for f in cands4}
-    for e in cands2:
-        le = base2.composed_with_translation(e)
-        for f in cands4:
-            if commute_check(le, lifts4[f]).ok:
-                valid_pairs.append((e, f))
-
-    # Conjugating by T_a shifts e by a - swap(a) and f by a + swap(a).
-    shifts = {(sub_(a, (a[1], a[0])), add(a, (a[1], a[0]))) for a in elements}
-    pair_set = set(valid_pairs)
+    cands2, cands4 = candidates(base2), candidates(base4)
+    # A pair is keyed by the white shifts of its two lifts; conjugating by
+    # T_a moves them by a - swap(a) and a + swap(a).
+    valid_pairs = {(l2.shifts[0], l4.shifts[0])
+                   for l2 in cands2 for l4 in cands4 if commute_check(l2, l4).ok}
+    moves = {(sub_(a, (a[1], a[0])), add(a, (a[1], a[0]))) for a in elements}
     remaining = set(valid_pairs)
     classes = 0
     while remaining:
         e, f = next(iter(remaining))
-        orbit = {(add(e, de), add(f, df)) for de, df in shifts}
-        if not orbit <= pair_set:
+        orbit = {(add(e, de), add(f, df)) for de, df in moves}
+        if not orbit <= valid_pairs:
             raise AssertionError("conjugacy moved a valid pair outside the census")
         remaining -= orbit
         classes += 1

@@ -6,8 +6,9 @@ suites are the oracles behind the ``verify`` CLI command and the
 acceptance tests: closed forms are compared against independent
 enumerations (row-span combinatorics against Riemann-Hurwitz counts,
 divisibility criteria against containment certificates, degree formulas
-against Galois-stabilizer scans, exact polynomials against floating-point
-product forms).
+against Galois-stabilizer scans, exact polynomials against an integer
+cosine-root identity and a floating-point product form, symmetry lifts
+against the deck-group relations they must satisfy).
 
 Set VWBM_THREADS > 1 to fan the per-pair work out to a process pool; the
 pool never gets more workers than there are CPUs or pairs to check.
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from . import generators as gens
 from . import invariants as inv
-from .exact import chebyshev_c, IntPolynomial
+from .exact import X, IntPolynomial, chebyshev_c
 from .rowspan import (CurveParams, klein_orbits, row_span, summand_dimension,
                       summands)
 from .surface import (build_surface, commute_check,
@@ -313,19 +314,24 @@ def check_lifts(nmax: int) -> CheckResult:
 # generator equations
 # ---------------------------------------------------------------------------
 
-def _sign_changes(p: IntPolynomial, lo: float, hi: float, steps: int) -> int:
-    changes = 0
-    prev = 0.0
-    first = True
-    for i in range(steps + 1):
-        u = lo + (hi - lo) * i / steps
-        v = float(p(u))
-        if v == 0.0:
-            continue
-        if not first and (v > 0) != (prev > 0):
-            changes += 1
-        prev, first = v, False
-    return changes
+def _cosine_root_identity(q: IntPolynomial, m: int) -> bool:
+    """Is p^d Q(p + 1/p), d = deg Q, equal to 1 + p + ... + p^(m-1) for odd
+    m and to p^m + 1 for even m?
+
+    At u = p + 1/p each factor u - 2cos(t) is (p - e^it)(p - e^-it) / p, so
+    p^d prod (u - 2cos t) is the product of p - z over the m-th roots of
+    unity z != 1 (odd m) or over the m-th roots of -1 (even m).  Q(p + 1/p)
+    determines Q, so the identity holds exactly when Q is that cosine
+    product: its roots are real, simple and in [-2, 2].
+    """
+    d = q.degree()
+    p_squared_plus_one = X * X + IntPolynomial((1,))
+    lhs = IntPolynomial(())
+    for k, c in enumerate(q.coeffs):
+        lhs = lhs + c * p_squared_plus_one ** k * X ** (d - k)
+    if m % 2:
+        return lhs == IntPolynomial((1,) * m)
+    return lhs == IntPolynomial((1,) + (0,) * (m - 1) + (1,))
 
 
 def _generator_pair(pair) -> str | None:
@@ -343,9 +349,8 @@ def _generator_pair(pair) -> str | None:
     lin, q, mult = eq.rhs_factored
     if (gens.U_MINUS_2 ** lin) * (q ** mult) != eq.rhs:
         return f"({n},{m}): stored factorization does not multiply out"
-    # all roots of the square-free cosine factor are real and in [-2, 2]
-    if q.degree() > 0 and _sign_changes(q, -2.000001, 2.000001, 4096) != q.degree():
-        return f"({n},{m}): cosine factor roots escape [-2, 2]"
+    if not _cosine_root_identity(q, m):
+        return f"({n},{m}): cosine factor is not prod (u - 2cos t)"
     if m % 2 == 0:
         half = chebyshev_c(m // 2)
         if chebyshev_c(m) + IntPolynomial((2,)) != half * half:

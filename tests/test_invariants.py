@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from vwbm.exact import CyclotomicElement
+from vwbm.exact import CyclotomicElement, euler_phi
 from vwbm.invariants import (admissible_triangle_group,
                              algebraically_primitive, classify, covers,
                              covers_criterion, curve_report, genus,
@@ -173,11 +173,14 @@ def test_hecke_scalars_2_7():
     hecke = hecke_scalars(params)
     assert hecke.field_degree == 3 == trace_degrees(params)[1]
     N = params.N
-    # all three scalars are real: fixed by conjugation a = -1
-    for s in hecke.scalars:
-        assert s.galois(N - 1) == s
+    # all three scalars are real: equal to their complex conjugates, the
+    # root sums on the negated exponents
+    r1, r2 = 14 - 2 - 7, 14 + 2 - 7
+    for (p, q), s in zip(((1, 1), (1, -1), (1, 0)), hecke.scalars):
+        u, v = p * r1 + q * r2, p * r2 + q * r1
+        assert CyclotomicElement.from_root_powers(N, (-u, u, -v, v)) == s
     # (p, q) = (1, 1) gives 2 zeta^(r1+r2) + 2 zeta^-(r1+r2) = -4 here
-    assert hecke.scalars[0] == CyclotomicElement.rational(N, -4)
+    assert hecke.scalars[0].coords == (-4,) + (0,) * (euler_phi(N) - 1)
 
 
 def test_hecke_degree_matches_invariant_field():

@@ -1,10 +1,10 @@
 import pytest
 
 from vwbm.rowspan import CurveParams, row_span, summand_dimension
-from vwbm.surface import (BLACK, WHITE, Square, build_surface, commute_check,
-                          cylinder_preservation_check, fixed_edges,
-                          intertwine_check, lift_class_count, lift_sigma2,
-                          lift_sigma4, surface_genus)
+from vwbm.surface import (BLACK, FIXABLE_TAGS, WHITE, Square, build_surface,
+                          commute_check, cylinder_preservation_check,
+                          fixed_edges, intertwine_check, lift_class_count,
+                          lift_sigma2, lift_sigma4, surface_genus)
 
 
 def close(mod, gens):
@@ -198,3 +198,164 @@ def test_lift_class_count(n, m, expected):
     summary = lift_class_count(build_surface(CurveParams(n, m)))
     assert summary.classes == expected
     assert summary.valid_pairs % summary.classes == 0
+
+
+# ---------------------------------------------------------------------------
+# oracle: per-square lift tables straight from the module-docstring formulas
+# ---------------------------------------------------------------------------
+
+ORACLE_PAIRS = [(n, m) for n in range(2, 7) for m in range(2, 7) if n * m >= 6]
+
+
+def _move(sq, c, N):
+    return Square(((sq.label[0] + c[0]) % N, (sq.label[1] + c[1]) % N),
+                  sq.color)
+
+
+def _shift_table(table, e, N):
+    """T_e composed after a lift given as a table."""
+    return {sq: _move(img, e, N) for sq, img in table.items()}
+
+
+def _base_tables(surface):
+    """The sigma2~ and sigma4~ lifts as dicts on squares, keyed by
+    (kind, variant) as the builders name them."""
+    n, m = surface.params.n, surface.params.m
+    N, nm = surface.span.modulus, n * m
+
+    def table(white, black):
+        out = {}
+        for sq in surface.squares:
+            c1, c2 = sq.label
+            if sq.color == WHITE:
+                (x, y), color = white(c1, c2), BLACK
+            else:
+                (x, y), color = black(c1, c2), WHITE
+            out[sq] = Square((x % N, y % N), color)
+        return out
+
+    tables = {
+        ("sigma2", None): table(lambda a, b: (b, a), lambda a, b: (b, a)),
+        ("sigma4", 1): table(lambda a, b: (-b + nm - n + m, -a + nm + n + m),
+                             lambda a, b: (-b + nm + n + m, -a + nm - n + m)),
+    }
+    if n % 2 == 0 and m % 2 == 0:
+        tables[("sigma4", 2)] = table(
+            lambda a, b: (-b + nm - n - m, -a + nm + n - m),
+            lambda a, b: (-b + nm + n - m, -a + nm - n - m))
+    return tables
+
+
+def _table_involution(t):
+    return all(t[t[sq]] == sq for sq in t)
+
+
+def _table_commute(s, t):
+    return all(s[t[sq]] == t[s[sq]] for sq in s)
+
+
+def _table_intertwine(surface, t2, t4):
+    """The conjugation relations of intertwine_check, on every square and
+    for every deck element."""
+    N = surface.span.modulus
+    cols = dict(zip((1, 2, 3, 4), surface.span.columns))
+    for t, a, b in [(t2, 1, 2), (t2, 3, 4), (t4, 1, 4), (t4, 2, 3)]:
+        if any(t[_move(t[sq], cols[a], N)] != _move(sq, cols[b], N)
+               for sq in t):
+            return False
+    for c in surface.span.elements:
+        swap, nswap = (c[1], c[0]), (-c[1], -c[0])
+        for sq in surface.squares:
+            if t2[_move(t2[sq], c, N)] != _move(sq, swap, N):
+                return False
+            if t4[_move(t4[sq], c, N)] != _move(sq, nswap, N):
+                return False
+    return True
+
+
+def _table_fixes_an_edge(surface, t, kind):
+    N = surface.span.modulus
+    c1, c2, c3, c4 = surface.span.columns
+    offsets = {"34": (0, 0), "12": (c1[0] + c4[0], c1[1] + c4[1]),
+               "14": c4, "23": (-c3[0], -c3[1])}
+    return any(t[sq] == _move(Square(sq.label, BLACK), offsets[tag], N)
+               for sq in surface.squares if sq.color == WHITE
+               for tag in FIXABLE_TAGS[kind])
+
+
+@pytest.mark.parametrize("n,m", ORACLE_PAIRS)
+def test_affine_lifts_match_per_square_tables(n, m):
+    surface = build_surface(CurveParams(n, m))
+    N = surface.span.modulus
+    lifts = {("sigma2", None): lift_sigma2(surface),
+             ("sigma4", 1): lift_sigma4(surface, 1)}
+    if n % 2 == 0 and m % 2 == 0:
+        lifts[("sigma4", 2)] = lift_sigma4(surface, 2)
+    tables = _base_tables(surface)
+    assert tables.keys() == lifts.keys()
+    for key, base in lifts.items():
+        for e in surface.span.elements:
+            lift = base.composed_with_translation(e)
+            table = _shift_table(tables[key], e, N)
+            assert all(lift(sq) == table[sq] for sq in surface.squares)
+            assert lift.is_involution() == _table_involution(table)
+
+    # commutation and conjugation verdicts on a sample of translates:
+    # two involutive ones and one that is not, for each symmetry
+    def sample(key):
+        base, table = lifts[key], tables[key]
+        good = [e for e in surface.span.elements
+                if base.composed_with_translation(e).is_involution()]
+        bad = [e for e in surface.span.elements if e not in good]
+        return [(base.composed_with_translation(e), _shift_table(table, e, N))
+                for e in good[:2] + bad[:1]]
+
+    for key4 in [k for k in lifts if k[0] == "sigma4"]:
+        for lift2, t2 in sample(("sigma2", None)):
+            for lift4, t4 in sample(key4):
+                assert commute_check(lift2, lift4).ok == _table_commute(t2, t4)
+                assert (intertwine_check(surface, lift2, lift4).ok
+                        == _table_intertwine(surface, t2, t4))
+
+
+@pytest.mark.parametrize("n,m", ORACLE_PAIRS)
+def test_lift_class_count_matches_per_square_census(n, m):
+    surface = build_surface(CurveParams(n, m))
+    N = surface.span.modulus
+    elements = surface.span.elements
+    tables = _base_tables(surface)
+
+    def candidates(kind, table):
+        out = {}
+        for e in elements:
+            t = _shift_table(table, e, N)
+            if _table_involution(t) and _table_fixes_an_edge(surface, t, kind):
+                out[e] = t
+        return out
+
+    cands2 = candidates("sigma2", tables[("sigma2", None)])
+    cands4 = candidates("sigma4", tables[("sigma4", 1)])
+    valid = [(t2, t4) for t2 in cands2.values() for t4 in cands4.values()
+             if _table_commute(t2, t4)]
+
+    # simultaneous conjugation by T_a, with lifts identified by their tables
+    def frozen(t):
+        return tuple(t[sq] for sq in surface.squares)
+
+    def conjugate(t, a):
+        back = (-a[0], -a[1])
+        return frozen({sq: _move(t[_move(sq, back, N)], a, N) for sq in t})
+
+    remaining = {(frozen(t2), frozen(t4)): (t2, t4) for t2, t4 in valid}
+    classes = 0
+    while remaining:
+        t2, t4 = remaining.pop(next(iter(remaining)))
+        for a in elements:
+            remaining.pop((conjugate(t2, a), conjugate(t4, a)), None)
+        classes += 1
+
+    summary = lift_class_count(surface)
+    assert summary.sigma2_candidates == len(cands2)
+    assert summary.sigma4_candidates == len(cands4)
+    assert summary.valid_pairs == len(valid)
+    assert summary.classes == classes

@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from vwbm.cli import main
+from vwbm.exact import IntPolynomial
 from vwbm.generators import generator_equation, verify_equation_numeric
 from vwbm.rowspan import CurveParams
-from vwbm.verify import (CheckResult, _thread_cap, check_klein_orbits,
-                         check_rowspan_identities, check_swap_symmetry,
-                         run_suite, valid_pairs)
+from vwbm.verify import (CheckResult, _cosine_root_identity, _thread_cap,
+                         check_klein_orbits, check_rowspan_identities,
+                         check_swap_symmetry, run_suite, valid_pairs)
 
 
 def test_valid_pairs_filter():
@@ -94,3 +95,22 @@ def test_numeric_check_accepts_exact_tolerance():
     eq = generator_equation(params)
     check = verify_equation_numeric(eq, params, Fraction(1, 10 ** 9))
     assert check.ok and check.tolerance == 1e-9
+
+
+@pytest.mark.parametrize("m", range(2, 41))
+def test_cosine_root_identity_holds(m):
+    # n = 3 gives the odd-m and the even-m cosine factors; n only changes
+    # the (u - 2) power and the multiplicity
+    q = generator_equation(CurveParams(3, m)).rhs_factored[1]
+    assert _cosine_root_identity(q, m)
+
+
+def test_cosine_root_identity_rejects_wrong_factors():
+    # u^2 - 2 = C_2 is the m = 4 factor; u^2 - 5 has roots outside [-2, 2]
+    assert _cosine_root_identity(IntPolynomial((-2, 0, 1)), 4)
+    assert not _cosine_root_identity(IntPolynomial((-5, 0, 1)), 4)
+    for m in (7, 10):
+        q = generator_equation(CurveParams(3, m)).rhs_factored[1]
+        changed = IntPolynomial((q.coeffs[0] + 1,) + q.coeffs[1:])
+        assert not _cosine_root_identity(changed, m)
+        assert not _cosine_root_identity(q, m + 2)
