@@ -48,9 +48,6 @@ class GeneratorEquation:
     rhs_factored: tuple[int, IntPolynomial, int]
     differential_denominator: IntPolynomial
 
-    def equation_text(self) -> str:
-        return f"y^{self.y_exponent} = {poly_str(self.rhs)}"
-
     def differential_text(self) -> str:
         return f"y du / ({poly_str(self.differential_denominator)})"
 

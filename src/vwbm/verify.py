@@ -19,6 +19,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from . import generators as gens
 from . import invariants as inv
@@ -72,11 +74,31 @@ def _map_pairs(worker, pairs):
     return [worker(p) for p in pairs]
 
 
-def _collect(name: str, pairs, worker) -> CheckResult:
-    for outcome in _map_pairs(worker, pairs):
-        if outcome is not None:
-            return CheckResult(name, False, outcome, {"pairs": len(pairs)})
-    return CheckResult(name, True, stats={"pairs": len(pairs)})
+@dataclass(frozen=True)
+class Check:
+    """A named check and its per-pair worker, which returns a counterexample
+    or None.  Calling it with nmax sweeps it over ``valid_pairs(nmax)``."""
+
+    name: str
+    worker: Callable[[tuple[int, int]], str | None]
+
+    def __call__(self, nmax: int) -> CheckResult:
+        return _sweep((self,), nmax)[0]
+
+
+def _pair_outcomes(checks, pair) -> tuple[str | None, ...]:
+    return tuple(check.worker(pair) for check in checks)
+
+
+def _sweep(checks, nmax: int) -> list[CheckResult]:
+    """Run the checks pair by pair, so each pair's row span is built once;
+    each check keeps its first counterexample in pair order."""
+    pairs = valid_pairs(nmax)
+    first = [None] * len(checks)
+    for outcomes in _map_pairs(partial(_pair_outcomes, checks), pairs):
+        first = [f if f is not None else o for f, o in zip(first, outcomes)]
+    return [CheckResult(check.name, f is None, f or "", {"pairs": len(pairs)})
+            for check, f in zip(checks, first)]
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +134,7 @@ def _rowspan_pair(pair) -> str | None:
     return None
 
 
-def check_rowspan_identities(nmax: int) -> CheckResult:
-    return _collect("row-span t identities", valid_pairs(nmax), _rowspan_pair)
+check_rowspan_identities = Check("row-span t identities", _rowspan_pair)
 
 
 def _klein_pair(pair) -> str | None:
@@ -148,8 +169,7 @@ def _klein_pair(pair) -> str | None:
     return None
 
 
-def check_klein_orbits(nmax: int) -> CheckResult:
-    return _collect("Klein orbit selection", valid_pairs(nmax), _klein_pair)
+check_klein_orbits = Check("Klein orbit selection", _klein_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +202,7 @@ def _genus_pair(pair) -> str | None:
     return None
 
 
-def check_genus_agreement(nmax: int) -> CheckResult:
-    return _collect("genus triple agreement", valid_pairs(nmax), _genus_pair)
+check_genus_agreement = Check("genus triple agreement", _genus_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +232,7 @@ def _trace_pair(pair) -> str | None:
     return None
 
 
-def check_trace_fields(nmax: int) -> CheckResult:
-    return _collect("trace degrees formula vs oracle", valid_pairs(nmax),
-                    _trace_pair)
+check_trace_fields = Check("trace degrees formula vs oracle", _trace_pair)
 
 
 def _primitivity_pair(pair) -> str | None:
@@ -230,9 +247,8 @@ def _primitivity_pair(pair) -> str | None:
     return None
 
 
-def check_primitivity(nmax: int) -> CheckResult:
-    return _collect("algebraic primitivity criterion vs degrees",
-                    valid_pairs(nmax), _primitivity_pair)
+check_primitivity = Check(
+    "algebraic primitivity criterion vs degrees", _primitivity_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +276,7 @@ def _covers_pair(pair) -> str | None:
     return None
 
 
-def check_covers(nmax: int) -> CheckResult:
-    return _collect("covering criterion vs containment oracle",
-                    valid_pairs(nmax), _covers_pair)
+check_covers = Check("covering criterion vs containment oracle", _covers_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +319,7 @@ def _lift_pair(pair) -> str | None:
     return None
 
 
-def check_lifts(nmax: int) -> CheckResult:
-    return _collect("pillowcase symmetry lift suite", valid_pairs(nmax),
-                    _lift_pair)
+check_lifts = Check("pillowcase symmetry lift suite", _lift_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +378,8 @@ def _generator_pair(pair) -> str | None:
     return None
 
 
-def check_generators(nmax: int) -> CheckResult:
-    return _collect("generator equations exact vs numeric",
-                    valid_pairs(nmax), _generator_pair)
+check_generators = Check(
+    "generator equations exact vs numeric", _generator_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +417,8 @@ def _spectrum_pair(pair) -> str | None:
     return None
 
 
-def check_spectrum_laws(nmax: int) -> CheckResult:
-    return _collect("spectrum laws and tiling correspondence",
-                    valid_pairs(nmax), _spectrum_pair)
+check_spectrum_laws = Check(
+    "spectrum laws and tiling correspondence", _spectrum_pair)
 
 
 def _swap_pair(pair) -> str | None:
@@ -435,16 +445,14 @@ def _swap_pair(pair) -> str | None:
     return None
 
 
-def check_swap_symmetry(nmax: int) -> CheckResult:
-    return _collect("invariants agree under (n, m) swap", valid_pairs(nmax),
-                    _swap_pair)
+check_swap_symmetry = Check("invariants agree under (n, m) swap", _swap_pair)
 
 
 # ---------------------------------------------------------------------------
 # suite driver
 # ---------------------------------------------------------------------------
 
-LEVELS: dict[str, tuple] = {
+LEVELS: dict[str, tuple[Check, ...]] = {
     "rowspan": (check_rowspan_identities, check_klein_orbits),
     "genus": (check_genus_agreement,),
     "trace": (check_trace_fields, check_primitivity),
@@ -465,10 +473,11 @@ def run_suite(nmax: int, level: str = "all") -> list[CheckResult]:
         raise ValueError("verification needs nmax >= 3")
     key = level.removesuffix("-only")
     if key == "all":
-        checks = [fn for fns in LEVELS.values() for fn in fns]
+        checks = [check for level_checks in LEVELS.values()
+                  for check in level_checks]
     elif key in LEVELS:
-        checks = list(LEVELS[key])
+        checks = LEVELS[key]
     else:
         raise ValueError(
             f"unknown level {level!r}; expected all or one of {sorted(LEVELS)}")
-    return [fn(nmax) for fn in checks]
+    return _sweep(checks, nmax)

@@ -127,13 +127,8 @@ def test_differential_description():
     data = differential_description(eq)
     assert data["denominator_coeffs"] == [2, -3, -1, 1]  # (u-2)(u^2+u-1)
     assert data["text"].startswith("y du / (")
+    assert eq.factored_text() == "y^4 = (u - 2)(u^2 + u - 1)^2"
+    assert eq.differential_text() == "y du / (u^3 - u^2 - 3u + 2)"
     # exact divisibility holds in every case
     for pair in [(3, 4), (4, 4), (2, 9), (5, 8)]:
         differential_description(generator_equation(CurveParams(*pair)))
-
-
-def test_equation_text():
-    eq = generator_equation(CurveParams(2, 5))
-    assert eq.equation_text() == "y^4 = u^5 - 5u^3 + 5u - 2"
-    assert eq.factored_text() == "y^4 = (u - 2)(u^2 + u - 1)^2"
-    assert eq.differential_text() == "y du / (u^3 - u^2 - 3u + 2)"

@@ -49,3 +49,18 @@ except AssertionError:
     proc = run_optimized("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["m_odd", "raised"]
+
+
+def test_traced_layer_functions_exist():
+    # the benchmark tracer wraps these names; a rename must fail here
+    import importlib
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{mod}.{name}" for mod, names in tracer.LAYERS.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"vwbm.{mod}"),
+                                       name, None))]
+    assert tracer.LAYERS and missing == []

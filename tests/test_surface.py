@@ -1,10 +1,13 @@
+import dataclasses
+
 import pytest
 
 from vwbm.rowspan import CurveParams, row_span, summand_dimension
-from vwbm.surface import (BLACK, FIXABLE_TAGS, WHITE, Square, build_surface,
-                          commute_check, cylinder_preservation_check,
-                          fixed_edges, intertwine_check, lift_class_count,
-                          lift_sigma2, lift_sigma4, surface_genus)
+from vwbm.surface import (BLACK, FIXABLE_TAGS, WHITE, Square, SymmetryLift,
+                          build_surface, commute_check,
+                          cylinder_preservation_check, fixed_edges,
+                          intertwine_check, lift_class_count, lift_sigma2,
+                          lift_sigma4, surface_genus)
 
 
 def close(mod, gens):
@@ -153,6 +156,29 @@ def test_cylinder_preservation_negative_control():
     assert isinstance(report.witness[0], Square)
 
 
+def test_cylinder_check_reads_the_black_shift():
+    # a lift that is right on white squares and wrong on black ones
+    surface = build_surface(CurveParams(2, 7))
+    bad = SymmetryLift(surface, "sigma2", None,
+                       ((0, 0), surface.span.columns[2]))
+    report = cylinder_preservation_check(surface, bad)
+    assert not report.ok and report.witness[0].color == BLACK
+
+
+def test_cylinder_check_tests_the_columns():
+    # with columns 3 and 4 exchanged the horizontal cylinders become the
+    # classes mod col_1 + col_3; sigma2 breaks them, but not at (0, 0)
+    surface = build_surface(CurveParams(2, 7))
+    c1, c2, c3, c4 = surface.span.columns
+    swapped = dataclasses.replace(
+        surface, span=dataclasses.replace(surface.span,
+                                          columns=(c1, c2, c4, c3)))
+    report = cylinder_preservation_check(swapped, lift_sigma2(swapped))
+    assert not report.ok and report.witness[0].label != (0, 0)
+    table = _base_tables(swapped)[("sigma2", None)]
+    assert not _table_keeps_cylinders(swapped, table, "sigma2")
+
+
 # ---------------------------------------------------------------------------
 # genus and dimension bookkeeping
 # ---------------------------------------------------------------------------
@@ -273,14 +299,36 @@ def _table_intertwine(surface, t2, t4):
     return True
 
 
-def _table_fixes_an_edge(surface, t, kind):
+def _table_fixed_edges(surface, t, kind):
+    """The edges a table fixes, scanning the white squares in order."""
     N = surface.span.modulus
     c1, c2, c3, c4 = surface.span.columns
     offsets = {"34": (0, 0), "12": (c1[0] + c4[0], c1[1] + c4[1]),
                "14": c4, "23": (-c3[0], -c3[1])}
-    return any(t[sq] == _move(Square(sq.label, BLACK), offsets[tag], N)
-               for sq in surface.squares if sq.color == WHITE
-               for tag in FIXABLE_TAGS[kind])
+    return tuple((sq, tag) for sq in surface.squares if sq.color == WHITE
+                 for tag in FIXABLE_TAGS[kind]
+                 if t[sq] == _move(Square(sq.label, BLACK), offsets[tag], N))
+
+
+def _table_keeps_cylinders(surface, t, kind):
+    """Per-square cylinder verdict: every square's image has the other
+    color and sits in its cylinder (horizontal for sigma2, vertical for
+    sigma4), with cylinders read off the module-docstring conventions."""
+    N = surface.span.modulus
+    c1, c2, c3, c4 = surface.span.columns
+    if kind == "sigma2":
+        gen, offsets = (c1[0] + c4[0], c1[1] + c4[1]), {WHITE: (0, 0),
+                                                        BLACK: (0, 0)}
+    else:
+        gen, offsets = (c1[0] + c2[0], c1[1] + c2[1]), {WHITE: c4, BLACK: c3}
+    cyclic = close(N, [gen])
+    for sq, img in t.items():
+        off = offsets[sq.color]
+        delta = ((img.label[0] - sq.label[0] - off[0]) % N,
+                 (img.label[1] - sq.label[1] - off[1]) % N)
+        if img.color == sq.color or delta not in cyclic:
+            return False
+    return True
 
 
 @pytest.mark.parametrize("n,m", ORACLE_PAIRS)
@@ -294,11 +342,19 @@ def test_affine_lifts_match_per_square_tables(n, m):
     tables = _base_tables(surface)
     assert tables.keys() == lifts.keys()
     for key, base in lifts.items():
+        kept = set()
         for e in surface.span.elements:
             lift = base.composed_with_translation(e)
             table = _shift_table(tables[key], e, N)
             assert all(lift(sq) == table[sq] for sq in surface.squares)
             assert lift.is_involution() == _table_involution(table)
+            assert fixed_edges(surface, lift) == _table_fixed_edges(
+                surface, table, key[0])
+            verdict = _table_keeps_cylinders(surface, table, key[0])
+            assert cylinder_preservation_check(surface, lift).ok == verdict
+            kept.add(verdict)
+        # the base lift keeps its cylinders, and some translate breaks them
+        assert kept == {True, False}
 
     # commutation and conjugation verdicts on a sample of translates:
     # two involutive ones and one that is not, for each symmetry
@@ -329,7 +385,7 @@ def test_lift_class_count_matches_per_square_census(n, m):
         out = {}
         for e in elements:
             t = _shift_table(table, e, N)
-            if _table_involution(t) and _table_fixes_an_edge(surface, t, kind):
+            if _table_involution(t) and _table_fixed_edges(surface, t, kind):
                 out[e] = t
         return out
 

@@ -6,9 +6,10 @@ from vwbm.cli import main
 from vwbm.exact import IntPolynomial
 from vwbm.generators import generator_equation, verify_equation_numeric
 from vwbm.rowspan import CurveParams
-from vwbm.verify import (CheckResult, _cosine_root_identity, _thread_cap,
-                         check_klein_orbits, check_rowspan_identities,
-                         check_swap_symmetry, run_suite, valid_pairs)
+from vwbm.verify import (Check, CheckResult, _cosine_root_identity, _sweep,
+                         _thread_cap, check_klein_orbits,
+                         check_rowspan_identities, check_swap_symmetry,
+                         run_suite, valid_pairs)
 
 
 def test_valid_pairs_filter():
@@ -114,3 +115,36 @@ def test_cosine_root_identity_rejects_wrong_factors():
         changed = IntPolynomial((q.coeffs[0] + 1,) + q.coeffs[1:])
         assert not _cosine_root_identity(changed, m)
         assert not _cosine_root_identity(q, m + 2)
+
+
+def test_suite_builds_each_row_span_about_once(monkeypatch):
+    # checks run pair by pair, so a sweep longer than the span cache does
+    # not rebuild every span once per check
+    from vwbm import rowspan
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    rowspan._span_entries.cache_clear()
+    assert all(r.passed for r in run_suite(10, "all"))
+    assert rowspan._span_entries.cache_info().misses <= 2 * len(valid_pairs(10))
+
+
+def _fails_on_odd_sum(pair):
+    return f"odd sum at {pair}" if sum(pair) % 2 else None
+
+
+def _fails_on_square(pair):
+    return f"square at {pair}" if pair[0] == pair[1] else None
+
+
+def _never_fails(pair):
+    return None
+
+
+def test_sweep_keeps_each_checks_first_counterexample():
+    odd, square = Check("odd", _fails_on_odd_sum), Check("square", _fails_on_square)
+    assert odd(4) == CheckResult("odd", False, "odd sum at (2, 3)", {"pairs": 8})
+    results = _sweep((square, odd, Check("none", _never_fails)), 4)
+    assert [(r.name, r.passed, r.detail) for r in results] == [
+        ("square", False, "square at (3, 3)"),
+        ("odd", False, "odd sum at (2, 3)"),
+        ("none", True, "")]
+    assert all(r.stats == {"pairs": 8} for r in results)
