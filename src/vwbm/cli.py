@@ -21,8 +21,7 @@ from fractions import Fraction
 
 from . import __version__
 from .exact import poly_str
-from .generators import (GeneratorEquation, generator_equation,
-                         verify_equation_numeric)
+from .generators import generator_equation, verify_equation_numeric
 from .invariants import (CurveReport, covers, curve_report, hecke_scalars,
                          trace_degrees, trace_degrees_oracle,
                          admissible_triangle_group, verify_cover)
@@ -55,7 +54,8 @@ def _params_dict(params: CurveParams) -> dict:
             "gamma": params.gamma, "lcm": params.l}
 
 
-def _generator_dict(eq: GeneratorEquation, params: CurveParams) -> dict:
+def _generator_dict(params: CurveParams) -> dict:
+    eq = generator_equation(params)
     check = verify_equation_numeric(eq, params, 1e-9)
     lin, q, mult = eq.rhs_factored
     return {
@@ -105,7 +105,7 @@ def _report_dict(report: CurveReport) -> dict:
             "by_criterion": v.by_criterion,
             "by_trace_degree": v.by_trace_degree,
         },
-        "generator": _generator_dict(report.generator, report.params),
+        "generator": _generator_dict(report.params),
         "notes": list(report.notes),
     }
 
@@ -261,7 +261,7 @@ def cmd_covers(args) -> int:
 
 def cmd_generator(args) -> int:
     params = CurveParams(args.n, args.m)
-    data = _generator_dict(generator_equation(params), params)
+    data = _generator_dict(params)
     if args.format == "json":
         _emit_json({"params": _params_dict(params), "generator": data})
     elif args.format == "csv":

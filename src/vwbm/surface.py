@@ -221,17 +221,19 @@ def lift_sigma4(surface: CombSurface, variant: int = 1) -> SymmetryLift:
     return SymmetryLift(surface, "sigma4", variant, shifts)
 
 
-def fixed_edges(surface: CombSurface, lift: SymmetryLift) -> tuple[tuple[Square, str], ...]:
-    """All edges fixed by the lift, reported from their white side.
-
-    A color-swapping involution fixes the edge (c_w, tag) exactly when it
-    maps c_w to the black square c + offset_tag across it, that is when
-    (A - I) c = offset_tag - s_w; sigma2-type lifts can only fix 12 or 34
-    edges, sigma4-type only 14 or 23 edges.
+def _edge_targets(surface: CombSurface, lift: SymmetryLift) -> list[tuple[str, Pair]]:
+    """Each fixable tag with its target offset_tag - s_w: the lift fixes the
+    edge (c_w, tag), mapping c_w across it to (c + offset_tag)_b, exactly
+    when (A - I) c equals the target.  sigma2-type lifts can only fix 12 or
+    34 edges, sigma4-type only 14 or 23 edges.
     """
-    offsets = surface.edge_offsets()
-    targets = [(tag, surface.sub(offsets[tag], lift.shifts[0]))
-               for tag in FIXABLE_TAGS[lift.kind]]
+    return [(tag, surface.sub(surface.edge_offsets()[tag], lift.shifts[0]))
+            for tag in FIXABLE_TAGS[lift.kind]]
+
+
+def fixed_edges(surface: CombSurface, lift: SymmetryLift) -> tuple[tuple[Square, str], ...]:
+    """All edges fixed by the lift, reported from their white side."""
+    targets = _edge_targets(surface, lift)
     return tuple((Square(c, WHITE), tag) for c in surface.span.elements
                  for tag, target in targets if lift.displacement(c) == target)
 
@@ -355,13 +357,11 @@ def lift_class_count(surface: CombSurface) -> LiftClassSummary:
 
     elements = surface.span.elements
     add, sub_ = surface.add, surface.sub
-    offsets = surface.edge_offsets()
 
     def candidates(base: SymmetryLift) -> list[SymmetryLift]:
         # T_e base fixes an edge iff offset - s_w - e lies in (A - I) G.
         image = {base.displacement(c) for c in elements}
-        targets = [sub_(offsets[tag], base.shifts[0])
-                   for tag in FIXABLE_TAGS[base.kind]]
+        targets = [t for _, t in _edge_targets(surface, base)]
         lifts = [base.composed_with_translation(e) for e in elements
                  if any(sub_(t, e) in image for t in targets)]
         return [lift for lift in lifts if lift.is_involution()]
