@@ -295,7 +295,7 @@ def cmd_tracefield(args) -> int:
         "admissible_triangle_group": admissible_triangle_group(params),
         "hecke": {
             "field_degree": hecke.field_degree,
-            "scalars": [[_frac(c) for c in s.coords] for s in hecke.scalars],
+            "scalars": [[str(c) for c in s.coords] for s in hecke.scalars],
         },
     }
     if args.format == "json":

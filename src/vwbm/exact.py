@@ -7,9 +7,14 @@ Conventions used throughout the package:
   coefficients in ascending degree with no trailing zeros; the zero
   polynomial has an empty coefficient tuple;
 * an element of Q(zeta_K) is a :class:`CyclotomicElement` written in the
-  power basis 1, x, ..., x^(phi(K)-1) modulo the K-th cyclotomic polynomial;
-  it is built as a sum of roots of unity, and Galois automorphisms act on
-  such a sum by scaling its exponents.
+  power basis 1, x, ..., x^(phi(K)-1) modulo the K-th cyclotomic polynomial,
+  with ``int`` coordinates; it is built as a sum of roots of unity, and
+  Galois automorphisms act on such a sum by scaling its exponents.
+
+Phi_K is a Moebius product of binomials x^d - 1, root sums are reduced by
+long division over its nonzero coefficients, and Galois stabilizers are
+scanned through a ring map Z[zeta_K] -> F_p, each surviving unit then
+confirmed exactly.
 
 No floating point is used anywhere in this module.
 """
@@ -17,8 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 
@@ -204,54 +209,69 @@ def poly_str(p: IntPolynomial, var: str = "u") -> str:
 
 
 def _divisors(K: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= K:
-        if K % d == 0:
-            small.append(d)
-            if d != K // d:
-                large.append(K // d)
-        d += 1
-    return small + large[::-1]
+    out = [1]
+    for p, e in _factorize(K):
+        out = [d * p ** k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def _factorize(K: int) -> list[tuple[int, int]]:
+    """Prime factorization of K >= 1 as (p, e) pairs, by trial division."""
+    out, p = [], 2
+    while p * p <= K:
+        if K % p == 0:
+            e = 0
+            while K % p == 0:
+                K //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if K > 1:
+        out.append((K, 1))
+    return out
+
+
+def _is_prime(k: int) -> bool:
+    return k >= 2 and _factorize(k) == [(k, 1)]
 
 
 def euler_phi(K: int) -> int:
     """Euler's totient, by trial-division factorization."""
     if K < 1:
         raise ValueError("totient needs a positive argument")
-    result, rem, p = 1, K, 2
-    while p * p <= rem:
-        if rem % p == 0:
-            pk = 1
-            while rem % p == 0:
-                rem //= p
-                pk *= p
-            result *= pk - pk // p
-        p += 1 if p == 2 else 2
-    if rem > 1:
-        result *= rem - 1
-    return result
+    return math.prod(p ** e - p ** (e - 1) for p, e in _factorize(K))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_poly(K: int) -> IntPolynomial:
     """The K-th cyclotomic polynomial Phi_K, monic of degree phi(K).
 
-    Phi_K = (x^K - 1) / prod of Phi_d over proper divisors d of K; the
-    division is exact in Z[x].
+    Phi_K = prod over d | K of (x^d - 1)^mu(K/d).  For K > 1 the signs
+    cancel, so Phi_K is the product of (1 - x^d)^mu(K/d) as a power series
+    cut after degree phi(K); multiplying by 1 - x^d and dividing by it are
+    each one pass over the coefficients.
     """
     if K < 1:
         raise ValueError("cyclotomic index must be positive")
     if K == 1:
         return IntPolynomial((-1, 1))
-    num = IntPolynomial((-1,) + (0,) * (K - 1) + (1,))
-    for d in _divisors(K):
-        if d < K:
-            num = num.exact_div(cyclotomic_poly(d))
-    return num
+    size = euler_phi(K) + 1
+    c = [1] + [0] * (size - 1)
+    mobius = [(1, 1)]                  # (t, mu(t)) over squarefree t | K
+    for q, _ in _factorize(K):
+        mobius += [(t * q, -mu) for t, mu in mobius]
+    for t, mu in mobius:
+        d = K // t
+        if mu > 0:
+            for i in range(size - 1, d - 1, -1):
+                c[i] -= c[i - d]
+        else:
+            for i in range(d, size):
+                c[i] += c[i - d]
+    return IntPolynomial(tuple(c))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def chebyshev_c(k: int) -> IntPolynomial:
     """The monic Chebyshev-type polynomial C_k with C_k(p + 1/p) = p^k + p^-k.
 
@@ -268,48 +288,45 @@ def chebyshev_c(k: int) -> IntPolynomial:
     return cur
 
 
-@lru_cache(maxsize=None)
-def _power_residues(K: int) -> tuple[tuple[int, ...], ...]:
-    """x^j reduced mod Phi_K, for j in range(K), as integer coordinate rows."""
+def _root_sum_vector(K: int, exponents: Iterable[int]) -> tuple[int, ...]:
+    """Canonical coordinates of sum of zeta_K^e over the given exponents.
+
+    zeta^P = s with (P, s) = (K/2, -1) for even K and (K, 1) for odd K, so
+    each exponent is first moved into [0, P).  Below phi(K) it is a basis
+    vector; otherwise zeta^e = s * zeta^(e - P) is reduced by long division
+    from the bottom over the nonzero coefficients of Phi_K, which has
+    constant term 1 for K > 1.
+    """
     phi = cyclotomic_poly(K).coeffs
     d = len(phi) - 1
-    rows = []
-    cur = [0] * d
-    cur[0] = 1
-    for _ in range(K):
-        rows.append(tuple(cur))
-        top = cur[d - 1]
-        nxt = [0] * d
-        for i in range(1, d):
-            nxt[i] = cur[i - 1]
-        if top:
-            for i in range(d):
-                nxt[i] -= top * phi[i]
-        cur = nxt
-    return tuple(rows)
-
-
-def _root_sum_vector(K: int, exponents: Iterable[int]) -> tuple[int, ...]:
-    """Canonical coordinates of sum of zeta_K^e over the given exponents."""
-    table = _power_residues(K)
-    acc = None
+    P, s = (K // 2, -1) if K % 2 == 0 else (K, 1)
+    acc = [0] * d
     for e in exponents:
-        row = table[e % K]
-        if acc is None:
-            acc = list(row)
-        else:
-            for i, v in enumerate(row):
-                acc[i] += v
-    if acc is None:
-        return (0,) * len(table[0])
+        e %= K
+        sign = s if e >= P else 1
+        e %= P
+        if e < d:
+            acc[e] += sign
+            continue
+        j = P - e                      # w[k] is the coefficient of x^(k - j)
+        w = [0] * (j + d)
+        w[0] = sign * s
+        support = [(i, c) for i, c in enumerate(phi) if c]
+        for low in range(j):
+            c = w[low]
+            if c:
+                for i, v in support:
+                    w[low + i] -= c * v
+        for i in range(d):
+            acc[i] += w[j + i]
     return tuple(acc)
 
 
 @dataclass(frozen=True)
 class CyclotomicElement:
-    """An element of Q(zeta_K) in the power basis modulo Phi_K.
+    """An element of Z[zeta_K] in the power basis modulo Phi_K.
 
-    ``coords`` has length phi(K).  Equality is coordinate-wise, which is
+    ``coords`` are phi(K) integers.  Equality is coordinate-wise, which is
     exact equality in the field.  Elements are built from root sums; the
     Galois automorphism zeta -> zeta^a of a unit a mod K acts on a root sum
     by scaling its exponents, which is how :func:`subfield_degree` applies
@@ -317,24 +334,37 @@ class CyclotomicElement:
     """
 
     order: int
-    coords: tuple[Fraction, ...]
+    coords: tuple[int, ...]
 
     def __post_init__(self):
         d = euler_phi(self.order)
         if len(self.coords) != d:
             raise ValueError(f"need {d} coordinates for order {self.order}")
-        object.__setattr__(
-            self, "coords", tuple(Fraction(c) for c in self.coords))
 
     @classmethod
     def from_root_powers(cls, K: int, exponents: Iterable[int]) -> "CyclotomicElement":
         """Sum of zeta_K^e over the exponent multiset."""
-        vec = _root_sum_vector(K, exponents)
-        return cls(K, tuple(Fraction(v) for v in vec))
+        return cls(K, _root_sum_vector(K, exponents))
 
 
 def units_mod(K: int) -> list[int]:
     return [a for a in range(1, K + 1) if math.gcd(a, K) == 1]
+
+
+@lru_cache(maxsize=64)
+def _fp_root_powers(K: int) -> tuple[int, tuple[int, ...]]:
+    """A prime p = 1 (mod K) above 2^16 and omega^j mod p for j < K, where
+    omega has exact order K, so zeta_K -> omega is a ring map to F_p."""
+    p = K * (2 ** 16 // K + 1) + 1
+    while not _is_prime(p):
+        p += K
+    primes = [q for q, _ in _factorize(K)]
+    for g in range(2, p):
+        w = pow(g, (p - 1) // K, p)
+        if all(pow(w, K // q, p) != 1 for q in primes):
+            break
+    return p, tuple(accumulate(range(K - 1), lambda x, _: x * w % p,
+                               initial=1))
 
 
 def subfield_degree(K: int, generators: Sequence[Iterable[int]]) -> int:
@@ -342,16 +372,38 @@ def subfield_degree(K: int, generators: Sequence[Iterable[int]]) -> int:
 
     Each generator is a multiset of exponents e, standing for the element
     sum of zeta_K^e.  The degree is phi(K) divided by the size of the
-    pointwise Galois stabilizer, scanned exactly over all units mod K.
+    pointwise Galois stabilizer H.  Every unit a mod K is scanned.  Its
+    sigma_a is first tested through the ring map zeta_K -> omega in F_p: a
+    generator whose image changes is moved by sigma_a, so a is not in H.
+    A unit that passes is confirmed exactly, generator by generator: sigma_a
+    fixes a root sum whose exponent multiset it permutes, and any other
+    root sum is compared on power-basis coordinates.  H is closed under
+    products, so no member of the subgroup the confirmed units generate is
+    tested twice.
     """
-    gens = [tuple(g) for g in generators]
-    base = [_root_sum_vector(K, g) for g in gens]
+    gens = [tuple(sorted(e % K for e in g)) for g in generators]
+    p, powers = _fp_root_powers(K)
+    images = [sum(powers[e] for e in g) % p for g in gens]
+    coords = {}
+
+    def fixes(a, g):
+        image = tuple(sorted(a * e % K for e in g))
+        if image == g:
+            return True
+        if g not in coords:
+            coords[g] = _root_sum_vector(K, g)
+        return _root_sum_vector(K, image) == coords[g]
+
     units = units_mod(K)
-    stab = 0
+    stab = {1}
     for a in units:
-        if all(
-            _root_sum_vector(K, tuple(a * e for e in g)) == b
-            for g, b in zip(gens, base)
-        ):
-            stab += 1
-    return len(units) // stab
+        if a in stab or any(sum(powers[a * e % K] for e in g) % p != v
+                            for g, v in zip(gens, images)):
+            continue
+        if all(fixes(a, g) for g in gens):
+            coset, power = set(stab), a
+            while power not in stab:
+                coset |= {power * h % K for h in stab}
+                power = power * a % K
+            stab = coset
+    return len(units) // len(stab)

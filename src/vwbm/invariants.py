@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import CyclotomicElement, _divisors, euler_phi, subfield_degree
+from .exact import (CyclotomicElement, _divisors, _is_prime, euler_phi,
+                    subfield_degree)
 from .generators import GeneratorEquation, generator_equation
 from .rowspan import CurveParams, Summand, _matrix_rows, _span_entries, summands
 
@@ -260,17 +261,6 @@ def hecke_scalars(params: CurveParams) -> HeckeScalars:
 # ---------------------------------------------------------------------------
 # algebraic primitivity
 # ---------------------------------------------------------------------------
-
-def _is_prime(k: int) -> bool:
-    if k < 2:
-        return False
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return True
-
 
 def _ap_criterion(n: int, m: int) -> bool:
     """One of n, m equals 2 and the other is a prime, twice a prime, or a

@@ -32,8 +32,6 @@ from .surface import (build_surface, commute_check,
                       intertwine_check, lift_class_count, lift_sigma2,
                       lift_sigma4, surface_genus)
 
-HECKE_SWEEP_CAP = 12  # Galois scans in Q(zeta_2nm) stay cheap below this
-
 
 @dataclass
 class CheckResult:
@@ -226,9 +224,8 @@ def _trace_pair(pair) -> str | None:
         return f"({n},{m}): degree-two extension test mismatch"
     if inv.admissible_triangle_group(params) == inadmissible:
         return f"({n},{m}): admissibility flag wrong"
-    if max(n, m) <= HECKE_SWEEP_CAP:
-        if inv.hecke_scalars(params).field_degree != deg_e:
-            return f"({n},{m}): Hecke scalars do not generate E"
+    if inv.hecke_scalars(params).field_degree != deg_e:
+        return f"({n},{m}): Hecke scalars do not generate E"
     return None
 
 

@@ -1,9 +1,12 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 from vwbm.cli import main
+from vwbm.verify import valid_pairs
 
 
 def run(capsys, *argv):
@@ -164,3 +167,21 @@ def test_verify_rejects_small_nmax(capsys):
 def test_verify_rejects_unknown_level(capsys):
     code, _, err = run(capsys, "verify", "6", "--level", "bogus")
     assert code == 2 and "unknown level" in err
+
+
+def test_tracefield_bytes_match_recorded_digests(capsys):
+    # sha256 of every tracefield output for n, m <= 16 and (60, 61), recorded
+    # before the cyclotomic layer was rebuilt: the power-basis coordinates
+    # are part of the output contract
+    path = Path(__file__).parent / "data" / "tracefield_sha256.json"
+    recorded = json.loads(path.read_text())
+    assert set(recorded) == {f"{n} {m}" for n, m in valid_pairs(16)} | {"60 61"}
+    changed = []
+    for pair, digests in recorded.items():
+        for fmt, digest in zip(("json", "csv", "md"), digests):
+            code, out, err = run(capsys, "tracefield", *pair.split(),
+                                 "--format", fmt)
+            if (code, err) != (0, "") or hashlib.sha256(
+                    out.encode()).hexdigest() != digest:
+                changed.append((pair, fmt))
+    assert changed == []

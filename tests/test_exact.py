@@ -1,11 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vwbm.exact import (CyclotomicElement, IntPolynomial, X, chebyshev_c,
+from vwbm.exact import (CyclotomicElement, IntPolynomial, X, _factorize,
+                        _fp_root_powers, _root_sum_vector, chebyshev_c,
                         cyclotomic_poly, euler_phi, subfield_degree,
                         units_mod)
 
@@ -96,6 +98,18 @@ def test_cyclotomic_product_formula(K):
     assert product == IntPolynomial((-1,) + (0,) * (K - 1) + (1,))
 
 
+def test_cyclotomic_poly_matches_recursive_division():
+    # the former definition: Phi_K = (x^K - 1) / prod of Phi_d, d | K, d < K
+    oracle = {}
+    for K in range(1, 401):
+        num = IntPolynomial((-1,) + (0,) * (K - 1) + (1,))
+        for d in range(1, K):
+            if K % d == 0:
+                num = num.exact_div(oracle[d])
+        oracle[K] = num
+        assert cyclotomic_poly(K) == num, K
+
+
 def _phi_by_gcd_scan(K):
     return sum(1 for a in range(1, K + 1) if math.gcd(a, K) == 1)
 
@@ -181,3 +195,71 @@ def test_subfield_degree_real_subfield():
     assert subfield_degree(12, [(1,)]) == 4
     # rationals
     assert subfield_degree(12, [(0,)]) == 1
+
+
+def _dense_coords(K):
+    """Every x^j, j < K, reduced mod Phi_K: the former dense table."""
+    phi = cyclotomic_poly(K).coeffs
+    d = len(phi) - 1
+    rows, cur = [], [1] + [0] * (d - 1)
+    for _ in range(K):
+        rows.append(cur)
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        cur = [c - top * f for c, f in zip(cur, phi)]
+    return lambda exps: tuple(
+        map(sum, zip([0] * d, *(rows[e % K] for e in exps))))
+
+
+def _random_root_sums(rng, K):
+    """1-2 exponent multisets mixing random roots, orbits under a unit (which
+    that unit permutes) and vanishing sums zeta^e (1 + zeta_q + ... ) for a
+    prime q | K (which every unit fixes without permuting them)."""
+    units = units_mod(K)
+    primes = [q for q, _ in _factorize(K)]
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        g = [rng.randrange(K) for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.6:
+            u, e = rng.choice(units), rng.randrange(K)
+            g += sorted({e * pow(u, k, K) % K for k in range(K)})
+        if primes and rng.random() < 0.5:
+            q, e = rng.choice(primes), rng.randrange(K)
+            g += [e + j * K // q for j in range(q)]
+        gens.append(tuple(g) or (0,))
+    return gens
+
+
+@pytest.mark.parametrize("K", range(1, 121))
+def test_subfield_degree_matches_filter_free_scan(K):
+    # the F_p filter may only reject units that move a generator: compare
+    # with an exact scan of every unit on coordinates from the dense table
+    coords = _dense_coords(K)
+    rng = random.Random(K)
+    for _ in range(4):
+        gens = _random_root_sums(rng, K)
+        for g in gens:
+            assert _root_sum_vector(K, g) == coords(g)
+        base = [coords(g) for g in gens]
+        fixing = [a for a in units_mod(K)
+                  if [coords([a * e for e in g]) for g in gens] == base]
+        assert subfield_degree(K, gens) == euler_phi(K) // len(fixing), gens
+
+
+def test_subfield_degree_confirms_on_coordinates():
+    # zeta_12^e + zeta_12^(e+6) = 0 is fixed by every unit, though no unit
+    # other than 1 permutes its exponents
+    assert subfield_degree(12, [(1, 7)]) == 1
+    assert subfield_degree(12, [(1, 7), (1, -1)]) == 2
+    assert subfield_degree(15, [(1, 6, 11, 3)]) == subfield_degree(15, [(3,)])
+
+
+def test_fp_root_table():
+    for K in range(1, 2001):
+        p, powers = _fp_root_powers(K)
+        assert (p - 1) % K == 0
+        assert all(p % q for q in range(2, math.isqrt(p) + 1))
+        w = powers[1 % K]
+        assert len(powers) == K and powers[0] == 1
+        assert all(powers[j] * w % p == powers[(j + 1) % K] for j in range(K))
+        assert all(pow(w, K // q, p) != 1 for q, _ in _factorize(K)), K

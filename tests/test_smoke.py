@@ -64,3 +64,15 @@ def test_traced_layer_functions_exist():
                if not callable(getattr(importlib.import_module(f"vwbm.{mod}"),
                                        name, None))]
     assert tracer.LAYERS and missing == []
+
+
+def test_every_cache_is_bounded():
+    import importlib
+    import pkgutil
+    caches = []
+    for info in pkgutil.iter_modules(vwbm.__path__):
+        module = importlib.import_module(f"vwbm.{info.name}")
+        caches += [(f"{info.name}.{name}", fn.cache_parameters()["maxsize"])
+                   for name, fn in vars(module).items()
+                   if hasattr(fn, "cache_parameters")]
+    assert caches and [name for name, size in caches if size is None] == []

@@ -148,3 +148,18 @@ def test_sweep_keeps_each_checks_first_counterexample():
         ("odd", False, "odd sum at (2, 3)"),
         ("none", True, "")]
     assert all(r.stats == {"pairs": 8} for r in results)
+
+
+def test_trace_level_checks_the_hecke_degree_at_every_pair(monkeypatch):
+    from vwbm import invariants
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    seen = []
+    real = invariants.hecke_scalars
+
+    def recording(params):
+        seen.append((params.n, params.m))
+        return real(params)
+
+    monkeypatch.setattr(invariants, "hecke_scalars", recording)
+    assert all(r.passed for r in run_suite(13, "trace"))
+    assert (13, 13) in seen and sorted(seen) == valid_pairs(13)
