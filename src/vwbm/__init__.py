@@ -9,8 +9,7 @@ from .invariants import (Classification, CurveReport, admissible_triangle_group,
                          curve_report, genus, hecke_scalars, is_arithmetic,
                          lyapunov_spectrum, trace_degrees,
                          trace_degrees_oracle, verify_cover)
-from .rowspan import (CurveParams, Summand, klein_action, row_span,
-                      summand_dimension, summands)
+from .rowspan import CurveParams, Summand, klein_action, row_span, summands
 from .surface import (CombSurface, Square, SymmetryLift, build_surface,
                       cylinder_preservation_check, lift_class_count,
                       lift_sigma2, lift_sigma4, surface_genus)
@@ -26,8 +25,7 @@ __all__ = [
     "algebraically_primitive", "classify", "covers", "curve_report", "genus",
     "hecke_scalars", "is_arithmetic", "lyapunov_spectrum", "trace_degrees",
     "trace_degrees_oracle", "verify_cover",
-    "CurveParams", "Summand", "klein_action", "row_span", "summand_dimension",
-    "summands",
+    "CurveParams", "Summand", "klein_action", "row_span", "summands",
     "CombSurface", "Square", "SymmetryLift", "build_surface",
     "cylinder_preservation_check", "lift_class_count", "lift_sigma2",
     "lift_sigma4", "surface_genus",

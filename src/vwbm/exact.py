@@ -348,7 +348,11 @@ class CyclotomicElement:
 
 
 def units_mod(K: int) -> list[int]:
-    return [a for a in range(1, K + 1) if math.gcd(a, K) == 1]
+    """The residues in [1, K] prime to K, sieved by the primes dividing K."""
+    unit = [True] * (K + 1)
+    for p, _ in _factorize(K):
+        unit[p::p] = [False] * (K // p)
+    return [a for a in range(1, K + 1) if unit[a]]
 
 
 @lru_cache(maxsize=64)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import IntPolynomial, chebyshev_c, poly_str
 from .rowspan import CurveParams
@@ -118,9 +117,10 @@ def verify_equation_numeric(eq: GeneratorEquation, params: CurveParams,
     2 deg + 1 sample points; true iff the max relative deviation is below
     the tolerance.
 
-    The rhs is evaluated exactly (rational Horner at the binary sample
-    point, rounded once at the end), so the deviation measures only the
-    error of the floating-point product form.
+    The rhs is evaluated exactly and rounded once at the end: a sample
+    point is u = k / q with q a power of two, so q^d rhs(u) is the integer
+    sum of c_j k^j q^(d - j), and int / int rounds correctly.  The deviation
+    therefore measures only the error of the floating-point product form.
     """
     tol = float(tolerance)
     if tol <= 0:
@@ -130,7 +130,11 @@ def verify_equation_numeric(eq: GeneratorEquation, params: CurveParams,
     worst = 0.0
     for i in range(count):
         u = -3.0 + 6.0 * i / (count - 1)
-        exact = float(eq.rhs(Fraction(u)))
+        k, q = u.as_integer_ratio()
+        scaled, power = 0, 1
+        for c in reversed(eq.rhs.coeffs):
+            scaled, power = scaled * k + c * power, power * q
+        exact = scaled / q ** deg
         approx = _product_form_value(eq, params, u)
         dev = abs(exact - approx) / max(1.0, abs(exact), abs(approx))
         worst = max(worst, dev)

@@ -169,12 +169,14 @@ def verify_cover(big: CurveParams, small: CurveParams) -> CoverCertificate:
     if nm_big % nm_small:
         raise ValueError(f"{nm_small} does not divide {nm_big}")
     k = nm_big // nm_small
-    span_big = set(_span_entries(big.n, big.m))
+    deck_big = set(_span_entries(big.n, big.m))
     N = big.N
     images = tuple(
         tuple((k * v) % N for v in row)
         for row in _matrix_rows(small.n, small.m))
-    holds = all(img in span_big for img in images)
+    # the row span of S(n, m) is {(a, b, -a, -b) : (a, b) in G}
+    holds = all(img[2:] == (-img[0] % N, -img[1] % N) and img[:2] in deck_big
+                for img in images)
     return CoverCertificate(big, small, k, images, holds)
 
 

@@ -6,12 +6,19 @@ S(n, m) is encoded by the 2 x 4 integer matrix, taken modulo N = 2nm,
     ( nm+n-m  nm-n-m  nm-n+m  nm+n+m )
 
 whose row span (the subgroup of (Z/NZ)^4 generated by the two rows) indexes
-the rank-two pieces of the cohomology of the family.  For a row vector r the
-fractional parts t_j(r) = {r_j / N} control everything: a piece is nonzero
-exactly when t(r) = 2 = t(-r), the Klein four group permutes pieces by
-coordinate swaps, and one representative per size-four orbit is selected by
-t_1(r) > max(t_2, t_3, t_4).  Each selected piece carries a hyperbolic
-triangle with angles (kappa, mu, nu) in units of pi and a Lyapunov exponent.
+the rank-two pieces of the cohomology of the family.  A row has r_3 = -r_1
+and r_4 = -r_2 mod N, and row 2 is row 1 with coordinates (12)(34) swapped,
+so the row span is {(a, b, -a, -b) : (a, b) in G} for the deck group
+G = <(r1, r2), (r2, r1)> = <col_1, .., col_4> of (Z/NZ)^2 (see ``surface``).
+G is enumerated once, as pairs, and everything below is read off it.
+
+For a row vector r the fractional parts t_j(r) = {r_j / N} control
+everything: a piece is nonzero exactly when t(r) = 2 = t(-r), which holds on
+every zero-free r = (a, b, N - a, N - b); the Klein four group permutes
+pieces by coordinate swaps, and one representative per size-four orbit is
+selected by t_1(r) > max(t_2, t_3, t_4).  Each selected piece carries a
+hyperbolic triangle with angles (kappa, mu, nu) in units of pi and a
+Lyapunov exponent.
 """
 from __future__ import annotations
 
@@ -114,14 +121,18 @@ def span_closure(gens, modulus: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=64)
-def _span_entries(n: int, m: int) -> tuple[Vector, ...]:
-    return span_closure(_matrix_rows(n, m), 2 * n * m)
+def _span_entries(n: int, m: int) -> tuple[tuple[int, int], ...]:
+    """The deck group G as sorted pairs, closed from (r1, r2) and (r2, r1)."""
+    r1, r2 = _matrix_rows(n, m)[0][:2]
+    return span_closure(((r1, r2), (r2, r1)), 2 * n * m)
 
 
 def row_span(params: CurveParams) -> tuple[Vector, ...]:
     """The subgroup of (Z/NZ)^4 generated by the two defining rows, as
-    canonical integer 4-tuples in lexicographic order."""
-    return _span_entries(params.n, params.m)
+    canonical integer 4-tuples (a, b, -a, -b), (a, b) in G, in lex order."""
+    N = params.N
+    return tuple((a, b, -a % N, -b % N)
+                 for a, b in _span_entries(params.n, params.m))
 
 
 def klein_action(r: Vector, element: str) -> Vector:
@@ -151,23 +162,6 @@ def klein_orbits(params: CurveParams) -> list[frozenset[Vector]]:
     return orbits
 
 
-def summand_dimension(r: Vector, N: int) -> int:
-    """dim of the piece attached to r: t(r) + t(-r) - 2, or 0 on zero entries.
-
-    ``r`` has canonical entries in [0, N).  Zero entries of a row-span
-    element come in the pairs {1,3} or {2,4}, and such pieces vanish.  The
-    zero vector is rejected.
-    """
-    if not any(r):
-        raise ValueError("the zero vector carries no summand")
-    if 0 in r:
-        return 0
-    total = sum(r) + sum((-v) % N for v in r)
-    if total % N:
-        raise AssertionError(f"t(r) + t(-r) is not an integer at {r}")
-    return total // N - 2
-
-
 def summands(params: CurveParams) -> tuple[Summand, ...]:
     """The selected summands of S(n, m), in canonical order.
 
@@ -183,19 +177,17 @@ def summands(params: CurveParams) -> tuple[Summand, ...]:
     """
     n, m, N = params.n, params.m, params.N
     out = []
-    for e in _span_entries(n, m):
-        # With no zero entry, -r has entries N - r_j, so t(r) = 2 (entries
-        # summing to 2N) already gives t(-r) = 4 - t(r) = 2.
-        if 0 in e or sum(e) != 2 * N:
+    # On r = (a, b, N - a, N - b), t_1 > max(t_2, t_3, t_4) reads a > b,
+    # a > N - a, a > N - b; the last rules out zero entries, and with no
+    # zero entry t(r) = 2 = t(-r) holds.
+    for a, b in _span_entries(n, m):
+        if not (a > b and 2 * a > N and a + b > N):
             continue
-        if not (e[0] > e[1] and e[0] > e[2] and e[0] > e[3]):
-            continue
-        # |1 - t_i(-r) - t_j(-r)| = |r_i + r_j - N| / N
-        mu = Fraction(abs(e[1] + e[2] - N), N)
-        nu = Fraction(abs(e[0] + e[1] - N), N)
+        # |1 - t_i(-r) - t_j(-r)| = |r_i + r_j - N| / N, so kappa = 0
+        mu, nu = Fraction(a - b, N), Fraction(a + b - N, N)
         out.append(Summand(
-            e, Fraction(abs(e[0] + e[2] - N), N), mu, nu,
-            Fraction(min(min(v, N - v) for v in e), n * m - n - m),
+            (a, b, N - a, N - b), Fraction(0), mu, nu,
+            Fraction(min(a, b, N - a, N - b), n * m - n - m),
             mu.numerator == 1 and nu.numerator == 1))
     out.sort(key=lambda s: (-s.lyapunov, s.mu, s.nu))
     return tuple(out)

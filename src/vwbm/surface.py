@@ -1,9 +1,12 @@
 r"""Combinatorial model of the square-tiled surface S(n, m).
 
 Squares are labelled by elements of the column span (the deck group), the
-subgroup of (Z/NZ)^2 generated by the four columns of the defining matrix,
+subgroup G of (Z/NZ)^2 generated by the four columns of the defining matrix,
 with one white and one black square per label.  The deck transformation T_j
-adds column j to the label and preserves color.
+adds column j to the label and preserves color.  Since col_3 = -col_1 and
+col_4 = -col_2 with col_2 the swap of col_1, G is also the group behind the
+row span, {(a, b, -a, -b) : (a, b) in G} (see ``rowspan``), and its one
+enumeration is shared with it.
 
 Edge conventions.  Every edge borders one white and one black square and is
 tagged by the pair of corner points it joins (12, 23, 34 or 14).  The tag
@@ -59,7 +62,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .rowspan import CurveParams, _matrix_rows, span_closure
+from .rowspan import CurveParams, _matrix_rows, _span_entries, span_closure
 
 WHITE = "w"
 BLACK = "b"
@@ -138,12 +141,10 @@ class CombSurface:
 
 
 def build_surface(params: CurveParams) -> CombSurface:
-    """Enumerate the column span and assemble the colored squares."""
-    N = params.N
-    rows = _matrix_rows(params.n, params.m)
-    columns = tuple((rows[0][j] % N, rows[1][j] % N) for j in range(4))
-    elements = span_closure(columns, N)
-    span = ColumnSpan(N, columns, elements)
+    """Take the column span from the one enumeration of G; add the squares."""
+    columns = tuple(zip(*_matrix_rows(params.n, params.m)))
+    elements = _span_entries(params.n, params.m)
+    span = ColumnSpan(params.N, columns, elements)
     squares = tuple(
         Square(label, color) for label in elements for color in (WHITE, BLACK))
     return CombSurface(params, span, squares)

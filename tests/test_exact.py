@@ -254,6 +254,12 @@ def test_subfield_degree_confirms_on_coordinates():
     assert subfield_degree(15, [(1, 6, 11, 3)]) == subfield_degree(15, [(3,)])
 
 
+def test_units_mod_matches_gcd_scan():
+    for K in range(1, 1201):
+        assert units_mod(K) == [a for a in range(1, K + 1)
+                                if math.gcd(a, K) == 1], K
+
+
 def test_fp_root_table():
     for K in range(1, 2001):
         p, powers = _fp_root_powers(K)

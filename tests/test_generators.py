@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
 from vwbm.exact import IntPolynomial, chebyshev_c
 from vwbm.generators import (CASE_BOTH_EVEN, CASE_M_EVEN_N_ODD, CASE_M_ODD,
-                             U_MINUS_2, GeneratorEquation,
+                             U_MINUS_2, GeneratorEquation, _product_form_value,
                              differential_description, generator_equation,
                              verify_equation_numeric)
 from vwbm.rowspan import CurveParams
@@ -102,6 +104,23 @@ def test_numeric_verification_m7():
     check = verify_equation_numeric(generator_equation(params), params, 1e-9)
     assert check.ok and check.max_relative_deviation < 1e-9
     assert check.sample_points == 2 * 7 + 1
+
+
+@pytest.mark.parametrize("n,m", [(2, 7), (3, 4), (4, 4), (34, 30),
+                                 (40, 30), (33, 34), (60, 61)])
+def test_numeric_deviation_matches_rational_horner(n, m):
+    # the exact rhs, evaluated by Fraction Horner and rounded once, gives
+    # the very same deviation as the integer evaluation
+    params = CurveParams(n, m)
+    eq = generator_equation(params)
+    check = verify_equation_numeric(eq, params, 1e-9)
+    worst = 0.0
+    for i in range(check.sample_points):
+        u = -3.0 + 6.0 * i / (check.sample_points - 1)
+        exact = float(eq.rhs(Fraction(u)))
+        approx = _product_form_value(eq, params, u)
+        worst = max(worst, abs(exact - approx) / max(1.0, abs(exact), abs(approx)))
+    assert check.max_relative_deviation == worst
 
 
 def test_numeric_verification_rejects_corruption():

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from vwbm.rowspan import (CurveParams, _matrix_rows, klein_action,
-                          klein_orbit, row_span, span_closure,
-                          summand_dimension, summands)
+                          klein_orbit, row_span, span_closure, summands)
+from vwbm.verify import valid_pairs
 
 F = Fraction
 
@@ -85,6 +85,14 @@ def test_span_closure_any_tuple_length():
     assert span_closure(_matrix_rows(2, 7), 28) == row_span(CurveParams(2, 7))
 
 
+@pytest.mark.parametrize("n,m", valid_pairs(16))
+def test_row_span_equals_closure_of_the_rows(n, m):
+    # row_span is read off the deck group G in (Z/N)^2; the oracle closes
+    # the two rows in (Z/N)^4
+    params = CurveParams(n, m)
+    assert row_span(params) == span_closure(_matrix_rows(n, m), params.N)
+
+
 # ---------------------------------------------------------------------------
 # Klein action
 # ---------------------------------------------------------------------------
@@ -107,18 +115,6 @@ def test_klein_orbit_sizes():
     assert len(klein_orbit((7, 7, 21, 21))) == 2
     # fully fixed vector
     assert len(klein_orbit((14, 14, 14, 14))) == 1
-
-
-# ---------------------------------------------------------------------------
-# dimensions
-# ---------------------------------------------------------------------------
-
-def test_summand_dimension():
-    assert summand_dimension((5, 9, 23, 19), 28) == 2
-    assert summand_dimension((7, 7, 21, 21), 28) == 2
-    assert summand_dimension((0, 9, 0, 19), 28) == 0
-    with pytest.raises(ValueError):
-        summand_dimension((0, 0, 0, 0), 28)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,13 @@ def test_verify_passes_under_optimized_mode():
     assert lines and all(line.startswith("PASS") for line in lines)
 
 
+def test_verify_bound_survives_optimized_mode():
+    from vwbm.verify import VERIFY_NMAX_MAX
+    proc = run_optimized("-m", "vwbm.cli", "verify", str(VERIFY_NMAX_MAX + 1))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"only up to nmax = {VERIFY_NMAX_MAX}" in proc.stderr
+
+
 def test_differential_check_survives_optimized_mode():
     code = """
 import dataclasses

@@ -2,12 +2,13 @@ import dataclasses
 
 import pytest
 
-from vwbm.rowspan import CurveParams, row_span, summand_dimension
+from vwbm.rowspan import CurveParams, _matrix_rows, row_span, span_closure
 from vwbm.surface import (BLACK, FIXABLE_TAGS, WHITE, Square, SymmetryLift,
                           build_surface, commute_check,
                           cylinder_preservation_check, fixed_edges,
                           intertwine_check, lift_class_count, lift_sigma2,
                           lift_sigma4, surface_genus)
+from vwbm.verify import valid_pairs
 
 
 def close(mod, gens):
@@ -43,6 +44,16 @@ def test_columns_sum_to_zero_and_deck_composition():
     t = [surface.deck(j) for j in (1, 2, 3, 4)]
     for sq in surface.squares:
         assert t[0](t[1](t[2](t[3](sq)))) == sq
+
+
+@pytest.mark.parametrize("n,m", valid_pairs(16))
+def test_column_span_equals_closure_of_the_four_columns(n, m):
+    # build_surface reads G off the row-span enumeration, which closes only
+    # (r1, r2) and (r2, r1)
+    rows = _matrix_rows(n, m)
+    columns = [(rows[0][j], rows[1][j]) for j in range(4)]
+    assert (build_surface(CurveParams(n, m)).span.elements
+            == span_closure(columns, 2 * n * m))
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (2, 7), (3, 4)])
@@ -207,10 +218,11 @@ def test_surface_genus_2_3():
 
 @pytest.mark.parametrize("n,m", [(2, 3), (2, 7), (3, 4), (4, 4), (4, 5)])
 def test_dimension_sum_matches_cover_genus(n, m):
+    # each zero-free span element carries a rank-two piece, so the pieces
+    # add up to twice the genus exactly when their count is the genus
     params = CurveParams(n, m)
-    total = sum(summand_dimension(r, params.N) for r in row_span(params)
-                if any(r))
-    assert total == 2 * surface_genus(build_surface(params))
+    zero_free = sum(0 not in r for r in row_span(params))
+    assert zero_free == surface_genus(build_surface(params))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ from vwbm.cli import main
 from vwbm.exact import IntPolynomial
 from vwbm.generators import generator_equation, verify_equation_numeric
 from vwbm.rowspan import CurveParams
-from vwbm.verify import (Check, CheckResult, _cosine_root_identity, _sweep,
-                         _thread_cap, check_klein_orbits,
+from vwbm.verify import (VERIFY_NMAX_MAX, Check, CheckResult,
+                         _cosine_root_identity, _sweep, _thread_cap,
+                         check_klein_orbits,
                          check_rowspan_identities, check_swap_symmetry,
                          run_suite, valid_pairs)
 
@@ -125,6 +126,40 @@ def test_suite_builds_each_row_span_about_once(monkeypatch):
     rowspan._span_entries.cache_clear()
     assert all(r.passed for r in run_suite(10, "all"))
     assert rowspan._span_entries.cache_info().misses <= 2 * len(valid_pairs(10))
+
+
+def test_genus_level_enumerates_each_deck_group_once(monkeypatch):
+    # the row span, the selection and the surface share one closure of G
+    from vwbm import rowspan, surface, verify
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    calls = []
+    real = rowspan.span_closure
+
+    def counting(gens, modulus):
+        calls.append(modulus)
+        return real(gens, modulus)
+
+    for module in (rowspan, surface, verify):
+        if hasattr(module, "span_closure"):
+            monkeypatch.setattr(module, "span_closure", counting)
+    rowspan._span_entries.cache_clear()
+    try:
+        assert all(r.passed for r in run_suite(10, "genus"))
+    finally:
+        rowspan._span_entries.cache_clear()
+    assert len(calls) == len(valid_pairs(10))
+
+
+def test_verify_refuses_an_unmeasured_nmax(monkeypatch, capsys):
+    def no_sweep(*args):
+        raise AssertionError("a check worker ran")
+    monkeypatch.setattr("vwbm.verify._pair_outcomes", no_sweep)
+    code = main(["verify", str(VERIFY_NMAX_MAX + 1)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"only up to nmax = {VERIFY_NMAX_MAX}" in captured.err
+    with pytest.raises(ValueError):
+        run_suite(VERIFY_NMAX_MAX + 1, "rowspan")
 
 
 def _fails_on_odd_sum(pair):
