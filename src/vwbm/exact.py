@@ -171,13 +171,6 @@ class IntPolynomial:
             raise ValueError("not a perfect square in Z[x]")
         return cand
 
-    def __call__(self, x):
-        """Evaluate by Horner's rule; works for int, Fraction, float, complex."""
-        acc = 0 * x
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __str__(self) -> str:
         return poly_str(self)
 

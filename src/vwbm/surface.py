@@ -54,13 +54,19 @@ lift fixes the edge with a given tag of the white square c exactly when
 (A - I) c = offset_tag - s_w, which is solved over G.  It preserves the
 cylinders when c -> (A - I) c + s_k - offset_k lands in a cyclic subgroup,
 which is tested at c = 0 and at the four columns, the generators of G.
+
+The lift census counts instead of enumerating.  Involutive lifts L2 of
+sigma2 and L4 of sigma4 always commute: L2 L4 keeps colors and has linear
+part -I, so it is an involution and L4 L2 = (L2 L4)^-1 = L2 L4.  Deck
+conjugation translates the pairs with a known kernel, so the number of
+classes is a quotient of group orders.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .rowspan import CurveParams, _matrix_rows, _span_entries, span_closure
 
@@ -117,20 +123,6 @@ class CombSurface:
         N = self.span.modulus
         return ((-a[0]) % N, (-a[1]) % N)
 
-    # -- deck action ----------------------------------------------------------
-
-    def translation(self, shift: Pair) -> Callable[[Square], Square]:
-        """The deck transformation adding ``shift`` to labels (color kept)."""
-        def move(sq: Square) -> Square:
-            return Square(self.add(sq.label, shift), sq.color)
-        return move
-
-    def deck(self, j: int) -> Callable[[Square], Square]:
-        """T_j for j in 1..4, translation by column j."""
-        if j not in (1, 2, 3, 4):
-            raise ValueError("deck transformations are indexed 1..4")
-        return self.translation(self.span.columns[j - 1])
-
     # -- edges ------------------------------------------------------------------
 
     def edge_offsets(self) -> dict[str, Pair]:
@@ -183,13 +175,6 @@ class SymmetryLift:
     def is_involution(self) -> bool:
         return all(self(self(sq)) == sq for sq in PROBES)
 
-    def composed_with_translation(self, shift: Pair) -> "SymmetryLift":
-        """T_shift composed after this lift (another lift of the same symmetry)."""
-        white, black = self.shifts
-        return SymmetryLift(
-            self.surface, self.kind, None,
-            (self.surface.add(white, shift), self.surface.add(black, shift)))
-
 
 def lift_sigma2(surface: CombSurface) -> SymmetryLift:
     """The lift swapping label coordinates and colors.
@@ -232,6 +217,18 @@ def _edge_targets(surface: CombSurface, lift: SymmetryLift) -> list[tuple[str, P
             for tag in FIXABLE_TAGS[lift.kind]]
 
 
+def displacement_image(surface: CombSurface, lift: SymmetryLift) -> set[Pair]:
+    """(A - I) G, closed from the images of the columns, which generate G."""
+    gens = tuple(lift.displacement(c) for c in surface.span.columns)
+    return set(span_closure(gens, surface.span.modulus))
+
+
+def has_fixed_edge(surface: CombSurface, lift: SymmetryLift) -> bool:
+    """Does the lift fix an edge, i.e. is a target in (A - I) G?"""
+    image = displacement_image(surface, lift)
+    return any(target in image for _, target in _edge_targets(surface, lift))
+
+
 def fixed_edges(surface: CombSurface, lift: SymmetryLift) -> tuple[tuple[Square, str], ...]:
     """All edges fixed by the lift, reported from their white side."""
     targets = _edge_targets(surface, lift)
@@ -263,11 +260,14 @@ def intertwine_check(surface: CombSurface,
     constant terms vanish exactly when L is an involution, so
     L T_c L = T_(A c) for every c once both lifts are involutions.
     """
+    def deck(j: int, sq: Square) -> Square:
+        return Square(surface.add(sq.label, surface.span.columns[j - 1]),
+                      sq.color)
+
     pairs = [(lift2, 1, 2), (lift2, 3, 4), (lift4, 1, 4), (lift4, 2, 3)]
     for lift, a, b in pairs:
-        ta, tb = surface.deck(a), surface.deck(b)
         for sq in PROBES:
-            if lift(ta(lift(sq))) != tb(sq):
+            if lift(deck(a, lift(sq))) != deck(b, sq):
                 return CheckReport(
                     False, (sq,),
                     f"{lift.kind} T{a} {lift.kind} != T{b} at {sq}")
@@ -342,13 +342,18 @@ def lift_class_count(surface: CombSurface) -> LiftClassSummary:
     """Count deck-conjugacy classes of lifts of the full symmetry group.
 
     A candidate pair is (T_e sigma2~, T_f sigma4~) for deck elements e, f
-    such that both maps are involutions with at least one fixed edge and the
-    two commute.  Pairs are then identified under simultaneous conjugation
-    by the deck group.  The count is 1 when n or m is odd and 2 when both
-    are even.
+    such that both maps are involutions with at least one fixed edge;
+    pairs are identified under simultaneous conjugation by the deck group.
+    The count is 1 when n or m is odd and 2 when both are even.
 
-    Conjugation is reduced to offset bookkeeping, which is sound because
-    ``intertwine_check`` first verifies the conjugation relations.
+    For a base lift with linear part A, T_e base is an involution iff
+    (A + I) e = 0 and fixes an edge iff e lies in a coset target + (A - I) G
+    (inside G, as the targets are).  Every pair of candidates commutes (see
+    the module docstring).  Conjugation by T_a adds a - A a to e, an action
+    with kernel K = {a : swap a = a, 2a = 0}, so a class has |G| / |K|
+    pairs.  This rests on the base relations that ``intertwine_check``
+    verifies first; each candidate set is checked to be closed under the
+    moves of the columns, which generate G.
     """
     base2 = lift_sigma2(surface)
     base4 = lift_sigma4(surface, 1)
@@ -356,30 +361,25 @@ def lift_class_count(surface: CombSurface) -> LiftClassSummary:
     if not rel.ok:
         raise AssertionError(f"conjugation relations failed: {rel.detail}")
 
-    elements = surface.span.elements
     add, sub_ = surface.add, surface.sub
 
-    def candidates(base: SymmetryLift) -> list[SymmetryLift]:
-        # T_e base fixes an edge iff offset - s_w - e lies in (A - I) G.
-        image = {base.displacement(c) for c in elements}
-        targets = [t for _, t in _edge_targets(surface, base)]
-        lifts = [base.composed_with_translation(e) for e in elements
-                 if any(sub_(t, e) in image for t in targets)]
-        return [lift for lift in lifts if lift.is_involution()]
+    def candidates(base: SymmetryLift) -> set[Pair]:
+        image = displacement_image(surface, base)
+        translates = {add(t, d) for _, t in _edge_targets(surface, base)
+                      for d in image}
+        found = {e for e in translates if add(base.linear(e), e) == (0, 0)}
+        for col in surface.span.columns:
+            move = sub_(col, base.linear(col))
+            if {add(e, move) for e in found} != found:
+                raise AssertionError(
+                    f"conjugation by {col} moves a {base.kind} candidate out")
+        return found
 
-    cands2, cands4 = candidates(base2), candidates(base4)
-    # A pair is keyed by the white shifts of its two lifts; conjugating by
-    # T_a moves them by a - swap(a) and a + swap(a).
-    valid_pairs = {(l2.shifts[0], l4.shifts[0])
-                   for l2 in cands2 for l4 in cands4 if commute_check(l2, l4).ok}
-    moves = {(sub_(a, (a[1], a[0])), add(a, (a[1], a[0]))) for a in elements}
-    remaining = set(valid_pairs)
-    classes = 0
-    while remaining:
-        e, f = next(iter(remaining))
-        orbit = {(add(e, de), add(f, df)) for de, df in moves}
-        if not orbit <= valid_pairs:
-            raise AssertionError("conjugacy moved a valid pair outside the census")
-        remaining -= orbit
-        classes += 1
-    return LiftClassSummary(classes, len(valid_pairs), len(cands2), len(cands4))
+    c2, c4 = len(candidates(base2)), len(candidates(base4))
+    # K = {a in G : swap a = a, 2a = 0} lies in {(0, 0), (N/2, N/2)}
+    half = surface.span.modulus // 2
+    kernel = 1 + ((half, half) in surface.span.elements)
+    classes, rest = divmod(c2 * c4 * kernel, len(surface.span.elements))
+    if rest:
+        raise AssertionError("the conjugation orbits do not divide the census")
+    return LiftClassSummary(classes, c2 * c4, c2, c4)

@@ -28,7 +28,7 @@ from .exact import X, IntPolynomial, chebyshev_c
 from .rowspan import (CurveParams, _matrix_rows, klein_orbits, row_span,
                       span_closure, summands)
 from .surface import (build_surface, commute_check,
-                      cylinder_preservation_check, fixed_edges,
+                      cylinder_preservation_check, has_fixed_edge,
                       intertwine_check, lift_class_count, lift_sigma2,
                       lift_sigma4, surface_genus)
 
@@ -273,7 +273,7 @@ def _lift_pair(pair) -> str | None:
         variants.append(lift_sigma4(surface, 2))
     if not lift2.is_involution():
         return f"({n},{m}): sigma2 lift is not an involution"
-    if not fixed_edges(surface, lift2):
+    if not has_fixed_edge(surface, lift2):
         return f"({n},{m}): sigma2 lift has no fixed edge"
     horiz = cylinder_preservation_check(surface, lift2)
     if not horiz.ok:
@@ -282,13 +282,15 @@ def _lift_pair(pair) -> str | None:
         tag = f"sigma4 variant {lift4.variant}"
         if not lift4.is_involution():
             return f"({n},{m}): {tag} is not an involution"
-        if not fixed_edges(surface, lift4):
+        if not has_fixed_edge(surface, lift4):
             return f"({n},{m}): {tag} has no fixed edge"
         if not commute_check(lift2, lift4).ok:
             return f"({n},{m}): {tag} does not commute with sigma2"
-        rel = intertwine_check(surface, lift2, lift4)
-        if not rel.ok:
-            return f"({n},{m}): {tag} {rel.detail}"
+        # lift_class_count checks (sigma2, variant 1) and raises on failure
+        if lift4.variant == 2:
+            rel = intertwine_check(surface, lift2, lift4)
+            if not rel.ok:
+                return f"({n},{m}): {tag} {rel.detail}"
         vert = cylinder_preservation_check(surface, lift4)
         if not vert.ok:
             return f"({n},{m}): {tag} {vert.detail}"

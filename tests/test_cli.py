@@ -169,6 +169,19 @@ def test_verify_rejects_unknown_level(capsys):
     assert code == 2 and "unknown level" in err
 
 
+def _changed_outputs(capsys, command, recorded):
+    """The (pair, format) outputs whose sha256 differs from the record."""
+    changed = []
+    for pair, digests in recorded.items():
+        for fmt, digest in zip(("json", "csv", "md"), digests):
+            code, out, err = run(capsys, command, *pair.split(),
+                                 "--format", fmt)
+            if (code, err) != (0, "") or hashlib.sha256(
+                    out.encode()).hexdigest() != digest:
+                changed.append((pair, fmt))
+    return changed
+
+
 def test_tracefield_bytes_match_recorded_digests(capsys):
     # sha256 of every tracefield output for n, m <= 16 and (60, 61), recorded
     # before the cyclotomic layer was rebuilt: the power-basis coordinates
@@ -176,12 +189,13 @@ def test_tracefield_bytes_match_recorded_digests(capsys):
     path = Path(__file__).parent / "data" / "tracefield_sha256.json"
     recorded = json.loads(path.read_text())
     assert set(recorded) == {f"{n} {m}" for n, m in valid_pairs(16)} | {"60 61"}
-    changed = []
-    for pair, digests in recorded.items():
-        for fmt, digest in zip(("json", "csv", "md"), digests):
-            code, out, err = run(capsys, "tracefield", *pair.split(),
-                                 "--format", fmt)
-            if (code, err) != (0, "") or hashlib.sha256(
-                    out.encode()).hexdigest() != digest:
-                changed.append((pair, fmt))
-    assert changed == []
+    assert _changed_outputs(capsys, "tracefield", recorded) == []
+
+
+def test_surface_bytes_match_recorded_digests(capsys):
+    # sha256 of every surface output for n, m <= 12, recorded before the
+    # lift census was rewritten as a quotient of group orders
+    path = Path(__file__).parent / "data" / "surface_sha256.json"
+    recorded = json.loads(path.read_text())
+    assert set(recorded) == {f"{n} {m}" for n, m in valid_pairs(12)}
+    assert _changed_outputs(capsys, "surface", recorded) == []

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -30,7 +29,6 @@ def test_poly_arithmetic_known_values():
     assert p * q == IntPolynomial((-1, 0, 1))
     assert p + q == IntPolynomial((0, 2))
     assert (p ** 3) == IntPolynomial((1, 3, 3, 1))
-    assert p(Fraction(1, 2)) == Fraction(3, 2)
 
 
 small_polys = st.builds(
@@ -140,7 +138,8 @@ def test_chebyshev_recurrence_and_numeric_law():
     # C_k(2 cos t) = 2 cos(k t)
     for k in (3, 8, 13):
         for t in (0.3, 1.1, 2.4):
-            got = chebyshev_c(k)(2.0 * math.cos(t))
+            x = 2.0 * math.cos(t)
+            got = sum(c * x ** i for i, c in enumerate(chebyshev_c(k).coeffs))
             assert got == pytest.approx(2.0 * math.cos(k * t), abs=1e-9)
 
 

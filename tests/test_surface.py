@@ -3,11 +3,11 @@ import dataclasses
 import pytest
 
 from vwbm.rowspan import CurveParams, _matrix_rows, row_span, span_closure
-from vwbm.surface import (BLACK, FIXABLE_TAGS, WHITE, Square, SymmetryLift,
-                          build_surface, commute_check,
+from vwbm.surface import (BLACK, FIXABLE_TAGS, WHITE, LiftClassSummary,
+                          Square, SymmetryLift, build_surface, commute_check,
                           cylinder_preservation_check, fixed_edges,
-                          intertwine_check, lift_class_count, lift_sigma2,
-                          lift_sigma4, surface_genus)
+                          has_fixed_edge, intertwine_check, lift_class_count,
+                          lift_sigma2, lift_sigma4, surface_genus)
 from vwbm.verify import valid_pairs
 
 
@@ -23,6 +23,18 @@ def close(mod, gens):
                     nxt.append(c)
         frontier = nxt
     return seen
+
+
+def _move(sq, c, N):
+    return Square(((sq.label[0] + c[0]) % N, (sq.label[1] + c[1]) % N),
+                  sq.color)
+
+
+def _translate(lift, e):
+    """T_e composed after the lift: another lift of the same symmetry."""
+    add = lift.surface.add
+    return SymmetryLift(lift.surface, lift.kind, None,
+                        (add(lift.shifts[0], e), add(lift.shifts[1], e)))
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +53,11 @@ def test_columns_sum_to_zero_and_deck_composition():
     total = (sum(c[0] for c in surface.span.columns) % N,
              sum(c[1] for c in surface.span.columns) % N)
     assert total == (0, 0)
-    t = [surface.deck(j) for j in (1, 2, 3, 4)]
     for sq in surface.squares:
-        assert t[0](t[1](t[2](t[3](sq)))) == sq
+        moved = sq
+        for col in surface.span.columns:
+            moved = _move(moved, col, N)
+        assert moved == sq
 
 
 @pytest.mark.parametrize("n,m", valid_pairs(16))
@@ -76,11 +90,12 @@ def test_column_span_generators_both_even(n, m):
 def test_deck_action_simply_transitive_on_colors():
     surface = build_surface(CurveParams(2, 3))
     whites = {sq for sq in surface.squares if sq.color == WHITE}
+    N = surface.span.modulus
     base = Square((0, 0), WHITE)
-    orbit = {surface.translation(c)(base) for c in surface.span.elements}
+    orbit = {_move(base, c, N) for c in surface.span.elements}
     assert orbit == whites
     stabilizer = [c for c in surface.span.elements
-                  if surface.translation(c)(base) == base]
+                  if _move(base, c, N) == base]
     assert stabilizer == [(0, 0)]
 
 
@@ -127,19 +142,19 @@ def test_intertwine_relations():
     lift2, lift4 = lift_sigma2(surface), lift_sigma4(surface, 1)
     assert intertwine_check(surface, lift2, lift4).ok
     # the specific relations, spelled out on every square
-    t = {j: surface.deck(j) for j in (1, 2, 3, 4)}
+    N = surface.span.modulus
+    cols = dict(zip((1, 2, 3, 4), surface.span.columns))
     for sq in surface.squares:
-        assert lift2(t[1](lift2(sq))) == t[2](sq)
-        assert lift2(t[3](lift2(sq))) == t[4](sq)
-        assert lift4(t[1](lift4(sq))) == t[4](sq)
-        assert lift4(t[2](lift4(sq))) == t[3](sq)
+        assert lift2(_move(lift2(sq), cols[1], N)) == _move(sq, cols[2], N)
+        assert lift2(_move(lift2(sq), cols[3], N)) == _move(sq, cols[4], N)
+        assert lift4(_move(lift4(sq), cols[1], N)) == _move(sq, cols[4], N)
+        assert lift4(_move(lift4(sq), cols[2], N)) == _move(sq, cols[3], N)
 
 
 def test_corrupted_sigma4_fails_with_witness():
     surface = build_surface(CurveParams(3, 4))
     lift2 = lift_sigma2(surface)
-    bad = lift_sigma4(surface, 1).composed_with_translation(
-        surface.span.columns[0])
+    bad = _translate(lift_sigma4(surface, 1), surface.span.columns[0])
     report = intertwine_check(surface, lift2, bad)
     assert not report.ok and report.witness is not None
 
@@ -160,8 +175,7 @@ def test_cylinder_preservation_positive():
 
 def test_cylinder_preservation_negative_control():
     surface = build_surface(CurveParams(2, 7))
-    corrupted = lift_sigma2(surface).composed_with_translation(
-        surface.span.columns[2])
+    corrupted = _translate(lift_sigma2(surface), surface.span.columns[2])
     report = cylinder_preservation_check(surface, corrupted)
     assert not report.ok
     assert isinstance(report.witness[0], Square)
@@ -238,16 +252,66 @@ def test_lift_class_count(n, m, expected):
     assert summary.valid_pairs % summary.classes == 0
 
 
+def _scan_census(surface):
+    """The census by enumeration: scan the translates of each base lift for
+    involutions with a fixed edge, test every pair with ``commute_check``,
+    and walk the orbits of simultaneous conjugation."""
+    elements = surface.span.elements
+    add, sub = surface.add, surface.sub
+
+    def candidates(base):
+        image = {base.displacement(c) for c in elements}
+        targets = [sub(surface.edge_offsets()[tag], base.shifts[0])
+                   for tag in FIXABLE_TAGS[base.kind]]
+        lifts = [_translate(base, e) for e in elements
+                 if any(sub(t, e) in image for t in targets)]
+        return [lift for lift in lifts if lift.is_involution()]
+
+    cands2 = candidates(lift_sigma2(surface))
+    cands4 = candidates(lift_sigma4(surface, 1))
+    # a pair is keyed by the white shifts of its two lifts; conjugating by
+    # T_a moves them by a - swap(a) and a + swap(a)
+    valid = {(l2.shifts[0], l4.shifts[0]) for l2 in cands2 for l4 in cands4
+             if commute_check(l2, l4).ok}
+    moves = {(sub(a, (a[1], a[0])), add(a, (a[1], a[0]))) for a in elements}
+    remaining = set(valid)
+    classes = 0
+    while remaining:
+        e, f = next(iter(remaining))
+        orbit = {(add(e, de), add(f, df)) for de, df in moves}
+        assert orbit <= valid
+        remaining -= orbit
+        classes += 1
+    return LiftClassSummary(classes, len(valid), len(cands2), len(cands4))
+
+
+@pytest.mark.parametrize("n,m", valid_pairs(16))
+def test_lift_class_count_matches_scan_census(n, m):
+    surface = build_surface(CurveParams(n, m))
+    assert lift_class_count(surface) == _scan_census(surface)
+
+
+@pytest.mark.parametrize("n,m", valid_pairs(8))
+def test_involutive_lifts_always_commute(n, m):
+    surface = build_surface(CurveParams(n, m))
+    variants = (1, 2) if n % 2 == 0 and m % 2 == 0 else (1,)
+
+    def involutive(base):
+        lifts = [_translate(base, e) for e in surface.span.elements]
+        return [lift for lift in lifts if lift.is_involution()]
+
+    lifts2 = involutive(lift_sigma2(surface))
+    for variant in variants:
+        lifts4 = involutive(lift_sigma4(surface, variant))
+        assert lifts2 and lifts4
+        assert all(commute_check(l2, l4).ok for l2 in lifts2 for l4 in lifts4)
+
+
 # ---------------------------------------------------------------------------
 # oracle: per-square lift tables straight from the module-docstring formulas
 # ---------------------------------------------------------------------------
 
 ORACLE_PAIRS = [(n, m) for n in range(2, 7) for m in range(2, 7) if n * m >= 6]
-
-
-def _move(sq, c, N):
-    return Square(((sq.label[0] + c[0]) % N, (sq.label[1] + c[1]) % N),
-                  sq.color)
 
 
 def _shift_table(table, e, N):
@@ -356,12 +420,13 @@ def test_affine_lifts_match_per_square_tables(n, m):
     for key, base in lifts.items():
         kept = set()
         for e in surface.span.elements:
-            lift = base.composed_with_translation(e)
+            lift = _translate(base, e)
             table = _shift_table(tables[key], e, N)
             assert all(lift(sq) == table[sq] for sq in surface.squares)
             assert lift.is_involution() == _table_involution(table)
-            assert fixed_edges(surface, lift) == _table_fixed_edges(
-                surface, table, key[0])
+            edges = _table_fixed_edges(surface, table, key[0])
+            assert fixed_edges(surface, lift) == edges
+            assert has_fixed_edge(surface, lift) == bool(edges)
             verdict = _table_keeps_cylinders(surface, table, key[0])
             assert cylinder_preservation_check(surface, lift).ok == verdict
             kept.add(verdict)
@@ -373,9 +438,9 @@ def test_affine_lifts_match_per_square_tables(n, m):
     def sample(key):
         base, table = lifts[key], tables[key]
         good = [e for e in surface.span.elements
-                if base.composed_with_translation(e).is_involution()]
+                if _translate(base, e).is_involution()]
         bad = [e for e in surface.span.elements if e not in good]
-        return [(base.composed_with_translation(e), _shift_table(table, e, N))
+        return [(_translate(base, e), _shift_table(table, e, N))
                 for e in good[:2] + bad[:1]]
 
     for key4 in [k for k in lifts if k[0] == "sigma4"]:
