@@ -5,7 +5,9 @@ Conventions used throughout the package:
 * rationals are ``fractions.Fraction`` (stored reduced, denominator > 0);
 * an integer polynomial is an :class:`IntPolynomial`, a tuple of ``int``
   coefficients in ascending degree with no trailing zeros; the zero
-  polynomial has an empty coefficient tuple;
+  polynomial has an empty coefficient tuple; it has ring operations,
+  powers and exact long division, and no square root, since every factor
+  the package needs is built from a closed form;
 * an element of Q(zeta_K) is a :class:`CyclotomicElement` written in the
   power basis 1, x, ..., x^(phi(K)-1) modulo the K-th cyclotomic polynomial,
   with ``int`` coordinates; it is built as a sum of roots of unity, and
@@ -52,11 +54,6 @@ class IntPolynomial:
         """Degree of the leading term; the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
 
-    def leading(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def is_monic(self) -> bool:
         return not self.is_zero() and self.coeffs[-1] == 1
 
@@ -101,8 +98,9 @@ class IntPolynomial:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     def divide(self, other: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
@@ -137,39 +135,6 @@ class IntPolynomial:
         if not r.is_zero():
             raise ValueError("inexact polynomial division")
         return q
-
-    def sqrt_exact(self) -> "IntPolynomial":
-        """The integer-polynomial square root with positive leading term.
-
-        Computed coefficient by coefficient from the top, then confirmed by
-        one exact multiplication; raises ValueError when no root exists in
-        Z[x] (for instance on x^2 + 1).
-        """
-        if self.is_zero():
-            return self
-        d = self.degree()
-        if d % 2:
-            raise ValueError("odd degree, no polynomial square root")
-        lead = self.coeffs[-1]
-        if lead < 0:
-            raise ValueError("negative leading coefficient")
-        r = math.isqrt(lead)
-        if r * r != lead:
-            raise ValueError("leading coefficient is not a square")
-        h = d // 2
-        q = [0] * (h + 1)
-        q[h] = r
-        for i in range(h - 1, -1, -1):
-            # coefficient of x^(i+h) in q*q is 2*q[i]*q[h] + known cross terms
-            s = sum(q[a] * q[i + h - a] for a in range(i + 1, h))
-            num = self.coeffs[i + h] - s
-            if num % (2 * r):
-                raise ValueError("not a perfect square in Z[x]")
-            q[i] = num // (2 * r)
-        cand = IntPolynomial(tuple(q))
-        if cand * cand != self:
-            raise ValueError("not a perfect square in Z[x]")
-        return cand
 
     def __str__(self) -> str:
         return poly_str(self)

@@ -11,12 +11,18 @@ with C_k(p + 1/p) = p^k + p^-k):
                                = (u - 2)^n prod_{j=1}^{m/2} (u - 2cos(pi (2j-1) / m))^2
     m and n both even:  y^n    = (u - 2)^(n/2) prod_{j=1}^{m/2} (u - 2cos(pi (2j-1) / m))
 
-with D(u) = (u - 2) prod (u - 2cos(.)) in all cases.  The cosine products
-collapse exactly: prod_{j=1}^{(m-1)/2} (u - 2cos(2 pi j/m)) is the integer
-square root of (C_m - 2)/(u - 2) for odd m, and
-prod_{j=1}^{m/2} (u - 2cos(pi (2j-1)/m)) = C_{m/2}(u) for even m, since
-C_m + 2 = C_{m/2}^2.  The Chebyshev form is the stored representation; the
-floating-point cosine product is kept only as a cross-check oracle.
+with D(u) = (u - 2) Q(u) in all cases, where Q is the square-free cosine
+product, so rhs = (u - 2)^a Q^mult.  Q has a closed form in Chebyshev
+polynomials.  For even m, Q = C_{m/2}, since C_m + 2 = C_{m/2}^2.  For odd m
+with d = (m - 1)/2,
+
+    Q = prod_{j=1}^{d} (u - 2cos(2 pi j/m)) = (C_{d+1} - C_d) / (u - 2)
+      = 1 + C_1 + ... + C_d,
+
+because at u = p + 1/p both sides times p^d equal 1 + p + ... + p^(m-1)
+(the quotient is the sum of p^k over |k| <= d).  The Chebyshev form is the
+stored representation; the floating-point cosine product is kept only as a
+cross-check oracle.
 """
 from __future__ import annotations
 
@@ -57,28 +63,31 @@ class GeneratorEquation:
         return f"y^{self.y_exponent} = {lin}{body}" if lin else f"y^{self.y_exponent} = {body}"
 
 
+def cosine_factor(m: int) -> IntPolynomial:
+    """Q, the square-free cosine product of the generator equations, monic
+    of degree m/2 for even m and (m - 1)/2 for odd m."""
+    if m % 2 == 0:
+        return chebyshev_c(m // 2)
+    d = (m - 1) // 2
+    return (chebyshev_c(d + 1) - chebyshev_c(d)).exact_div(U_MINUS_2)
+
+
 def generator_equation(params: CurveParams) -> GeneratorEquation:
-    """The exact generator equation for T(n, m); rhs is monic of degree m,
-    n + m, or (n + m)/2 in the three cases."""
+    """The exact generator equation for T(n, m): rhs = (u - 2)^a Q^mult,
+    monic of degree m, n + m, or (n + m)/2 in the three cases."""
     n, m = params.n, params.m
     if m % 2:
-        rhs = chebyshev_c(m) - IntPolynomial((2,))
-        qpart = rhs.exact_div(U_MINUS_2).sqrt_exact()
-        eq = GeneratorEquation(
-            CASE_M_ODD, 2 * n, rhs, (1, qpart, 2), U_MINUS_2 * qpart)
+        case, y_exponent, a, mult = CASE_M_ODD, 2 * n, 1, 2
     elif n % 2:
-        half = chebyshev_c(m // 2)
-        rhs = (U_MINUS_2 ** n) * half * half
-        eq = GeneratorEquation(
-            CASE_M_EVEN_N_ODD, 2 * n, rhs, (n, half, 2), U_MINUS_2 * half)
+        case, y_exponent, a, mult = CASE_M_EVEN_N_ODD, 2 * n, n, 2
     else:
-        half = chebyshev_c(m // 2)
-        rhs = (U_MINUS_2 ** (n // 2)) * half
-        eq = GeneratorEquation(
-            CASE_BOTH_EVEN, n, rhs, (n // 2, half, 1), U_MINUS_2 * half)
-    if not eq.rhs.is_monic():
+        case, y_exponent, a, mult = CASE_BOTH_EVEN, n, n // 2, 1
+    q = cosine_factor(m)
+    rhs = U_MINUS_2 ** a * q ** mult
+    if not rhs.is_monic():
         raise AssertionError(f"rhs of T({n},{m}) is not monic")
-    return eq
+    return GeneratorEquation(case, y_exponent, rhs, (a, q, mult),
+                             U_MINUS_2 * q)
 
 
 def _cosine_factors(case: str, m: int) -> list[float]:

@@ -64,7 +64,6 @@ classes is a quotient of group orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
@@ -212,6 +211,12 @@ def _edge_targets(surface: CombSurface, lift: SymmetryLift) -> list[tuple[str, P
     edge (c_w, tag), mapping c_w across it to (c + offset_tag)_b, exactly
     when (A - I) c equals the target.  sigma2-type lifts can only fix 12 or
     34 edges, sigma4-type only 14 or 23 edges.
+
+    The two targets differ by offset_12 - offset_34 = c1 + c4 for sigma2
+    and offset_23 - offset_14 = -c3 - c4 for sigma4, which is -(A - I) col_1
+    in both cases, so they lie in one coset of (A - I) G.  Whether some edge
+    is fixed, and by which translates, is therefore read off the first
+    target alone; ``fixed_edges`` still lists the edges of both tags.
     """
     return [(tag, surface.sub(surface.edge_offsets()[tag], lift.shifts[0]))
             for tag in FIXABLE_TAGS[lift.kind]]
@@ -224,9 +229,9 @@ def displacement_image(surface: CombSurface, lift: SymmetryLift) -> set[Pair]:
 
 
 def has_fixed_edge(surface: CombSurface, lift: SymmetryLift) -> bool:
-    """Does the lift fix an edge, i.e. is a target in (A - I) G?"""
-    image = displacement_image(surface, lift)
-    return any(target in image for _, target in _edge_targets(surface, lift))
+    """Does the lift fix an edge, i.e. is the first target in (A - I) G?"""
+    target = _edge_targets(surface, lift)[0][1]
+    return target in displacement_image(surface, lift)
 
 
 def fixed_edges(surface: CombSurface, lift: SymmetryLift) -> tuple[tuple[Square, str], ...]:
@@ -314,18 +319,18 @@ def cylinder_preservation_check(surface: CombSurface, lift: SymmetryLift) -> Che
 def surface_genus(surface: CombSurface) -> int:
     """Genus of S(n, m) from the branched-cover Euler characteristic.
 
-    2 - 2g = |G| (2 - sum_j (1 - 1/e_j)) where e_j is the order of column j
-    in the deck group G.
+    2g - 2 = sum_j (|G| - |G| / e_j) - 2|G| where e_j is the order of
+    column j in the deck group G; each e_j divides |G|.
     """
     G = len(surface.span.elements)
-    chi = Fraction(2)
-    for col in surface.span.columns:
-        chi -= 1 - Fraction(1, surface.span.order_of(col))
-    chi *= G
-    g = (2 - chi) / 2
-    if g.denominator != 1 or g < 0:
-        raise AssertionError(f"Euler characteristic {chi} gives genus {g}")
-    return int(g)
+    orders = [surface.span.order_of(col) for col in surface.span.columns]
+    two_g_minus_2 = sum(G - G // e for e in orders) - 2 * G
+    g, odd = divmod(two_g_minus_2 + 2, 2)
+    if odd or g < 0 or any(G % e for e in orders):
+        raise AssertionError(
+            f"2g - 2 = {two_g_minus_2} with column orders {orders} in a group "
+            f"of order {G} gives no genus")
+    return g
 
 
 @dataclass(frozen=True)
@@ -347,13 +352,14 @@ def lift_class_count(surface: CombSurface) -> LiftClassSummary:
     The count is 1 when n or m is odd and 2 when both are even.
 
     For a base lift with linear part A, T_e base is an involution iff
-    (A + I) e = 0 and fixes an edge iff e lies in a coset target + (A - I) G
-    (inside G, as the targets are).  Every pair of candidates commutes (see
-    the module docstring).  Conjugation by T_a adds a - A a to e, an action
-    with kernel K = {a : swap a = a, 2a = 0}, so a class has |G| / |K|
-    pairs.  This rests on the base relations that ``intertwine_check``
-    verifies first; each candidate set is checked to be closed under the
-    moves of the columns, which generate G.
+    (A + I) e = 0 and fixes an edge iff e lies in the coset target + (A - I) G
+    (inside G, as the targets are; both targets give the same coset).  Every
+    pair of candidates commutes (see the module docstring).  Conjugation by
+    T_a adds a - A a to e, an action with kernel K = {a : swap a = a,
+    2a = 0}, so a class has |G| / |K| pairs.  This rests on the base
+    relations that ``intertwine_check`` verifies first; each candidate set
+    is checked to be closed under the moves of the columns, which generate
+    G.
     """
     base2 = lift_sigma2(surface)
     base4 = lift_sigma4(surface, 1)
@@ -364,9 +370,9 @@ def lift_class_count(surface: CombSurface) -> LiftClassSummary:
     add, sub_ = surface.add, surface.sub
 
     def candidates(base: SymmetryLift) -> set[Pair]:
+        target = _edge_targets(surface, base)[0][1]
         image = displacement_image(surface, base)
-        translates = {add(t, d) for _, t in _edge_targets(surface, base)
-                      for d in image}
+        translates = {add(target, d) for d in image}
         found = {e for e in translates if add(base.linear(e), e) == (0, 0)}
         for col in surface.span.columns:
             move = sub_(col, base.linear(col))

@@ -199,3 +199,18 @@ def test_surface_bytes_match_recorded_digests(capsys):
     recorded = json.loads(path.read_text())
     assert set(recorded) == {f"{n} {m}" for n, m in valid_pairs(12)}
     assert _changed_outputs(capsys, "surface", recorded) == []
+
+
+def test_generator_bytes_match_recorded_digests(capsys):
+    # sha256 of every generator output for n, m <= 16 and five large
+    # anchors, and of info json at the anchors, recorded before the odd-m
+    # cosine factor was built from its closed form instead of a square root
+    path = Path(__file__).parent / "data" / "generator_sha256.json"
+    recorded = json.loads(path.read_text())
+    anchors = {"34 30", "40 30", "33 34", "60 61", "61 60"}
+    assert set(recorded["generator"]) == {
+        f"{n} {m}" for n, m in valid_pairs(16)} | anchors
+    assert set(recorded["info"]) == anchors
+    assert _changed_outputs(capsys, "generator", recorded["generator"]) == []
+    # one digest per info pair: json only
+    assert _changed_outputs(capsys, "info", recorded["info"]) == []

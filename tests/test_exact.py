@@ -54,18 +54,28 @@ def test_exact_div_raises_on_remainder():
         IntPolynomial((1, 0, 1)).exact_div(IntPolynomial((-1, 1)))
 
 
-@given(small_polys)
-def test_poly_sqrt_of_square(p):
-    root = (p * p).sqrt_exact()
-    assert root == p or root == -p
+@given(small_polys, st.integers(0, 9))
+def test_poly_power_is_repeated_product(p, k):
+    expected = IntPolynomial((1,))
+    for _ in range(k):
+        expected = expected * p
+    assert p ** k == expected
 
 
-def test_poly_sqrt_rejects_non_squares():
-    with pytest.raises(ValueError):
-        IntPolynomial((1, 0, 1)).sqrt_exact()   # u^2 + 1
-    with pytest.raises(ValueError):
-        IntPolynomial((0, 1)).sqrt_exact()      # odd degree
-    assert IntPolynomial(()).sqrt_exact().is_zero()
+@pytest.mark.parametrize("k", range(1, 18))
+def test_poly_power_squares_only_while_bits_remain(monkeypatch, k):
+    # binary powering: one squaring per bit after the top one, one product
+    # per set bit, and no squaring past the last bit
+    calls = []
+    product = IntPolynomial.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(IntPolynomial, "__mul__", counting)
+    IntPolynomial((1, 1)) ** k
+    assert len(calls) == k.bit_length() - 1 + bin(k).count("1")
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,16 @@ def test_degree_law(n, m):
 
 @pytest.mark.parametrize("m", range(3, 31, 2))
 def test_odd_chebyshev_square_identity(m):
-    body = (chebyshev_c(m) - poly(2)).exact_div(U_MINUS_2)
-    q = body.sqrt_exact()
-    assert q.degree() == (m - 1) // 2
+    # the stored factor is the closed form 1 + C_1 + ... + C_d, d = (m-1)/2,
+    # and it squares back to the paper's C_m - 2 = (u - 2) Q^2
+    d = (m - 1) // 2
+    q = generator_equation(CurveParams(2, m)).rhs_factored[1]
+    assert q.degree() == d
     assert U_MINUS_2 * q * q == chebyshev_c(m) - poly(2)
+    total = poly(1)
+    for k in range(1, d + 1):
+        total = total + chebyshev_c(k)
+    assert q == total
 
 
 @pytest.mark.parametrize("m", range(2, 31, 2))

@@ -13,17 +13,29 @@ import vwbm
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_optimized(*args):
+def run_fresh(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-O", *args], env=env,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def run_optimized(*args):
+    return run_fresh("-O", *args)
 
 
 def test_every_export_resolves():
     missing = [name for name in vwbm.__all__ if not hasattr(vwbm, name)]
     assert missing == []
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    # only a parallel verify needs the process pool; it imports it itself
+    proc = run_fresh("-c", "import sys, vwbm.cli; "
+                     "print('multiprocessing' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_verify_passes_under_optimized_mode():

@@ -4,10 +4,11 @@ import pytest
 
 from vwbm.rowspan import CurveParams, _matrix_rows, row_span, span_closure
 from vwbm.surface import (BLACK, FIXABLE_TAGS, WHITE, LiftClassSummary,
-                          Square, SymmetryLift, build_surface, commute_check,
-                          cylinder_preservation_check, fixed_edges,
-                          has_fixed_edge, intertwine_check, lift_class_count,
-                          lift_sigma2, lift_sigma4, surface_genus)
+                          Square, SymmetryLift, _edge_targets, build_surface,
+                          commute_check, cylinder_preservation_check,
+                          displacement_image, fixed_edges, has_fixed_edge,
+                          intertwine_check, lift_class_count, lift_sigma2,
+                          lift_sigma4, surface_genus)
 from vwbm.verify import valid_pairs
 
 
@@ -289,6 +290,18 @@ def _scan_census(surface):
 def test_lift_class_count_matches_scan_census(n, m):
     surface = build_surface(CurveParams(n, m))
     assert lift_class_count(surface) == _scan_census(surface)
+
+
+@pytest.mark.parametrize("n,m", valid_pairs(16))
+def test_edge_targets_share_one_displacement_coset(n, m):
+    # the census and has_fixed_edge read the first target only
+    surface = build_surface(CurveParams(n, m))
+    lifts = [lift_sigma2(surface), lift_sigma4(surface, 1)]
+    if n % 2 == 0 and m % 2 == 0:
+        lifts.append(lift_sigma4(surface, 2))
+    for lift in lifts:
+        (_, first), (_, second) = _edge_targets(surface, lift)
+        assert surface.sub(second, first) in displacement_image(surface, lift)
 
 
 @pytest.mark.parametrize("n,m", valid_pairs(8))
