@@ -124,15 +124,9 @@ def _csv_out(rows: list[dict], header: list[str]) -> None:
 def _summand_rows(params: CurveParams, reverse: bool) -> list[dict]:
     ordered = summands(params)
     if reverse:
-        ordered = tuple(reversed(ordered))
-    rows = []
-    for s in ordered:
-        rows.append({
-            "n": params.n, "m": params.m,
-            "kappa": _frac(s.kappa), "mu": _frac(s.mu), "nu": _frac(s.nu),
-            "lyapunov": _frac(s.lyapunov), "tiling": s.tiling,
-        })
-    return rows
+        ordered = reversed(ordered)
+    return [{"n": params.n, "m": params.m, **_summand_dict(s)}
+            for s in ordered]
 
 
 def _md_table(params: CurveParams) -> str:
@@ -197,9 +191,7 @@ def cmd_table(args) -> int:
     if args.format == "json":
         payload = []
         for params in pairs:
-            rows = _summand_rows(params, reverse=True)
-            for row in rows:
-                del row["n"], row["m"]
+            rows = [_summand_dict(s) for s in reversed(summands(params))]
             payload.append({"params": [params.n, params.m],
                             "genus": len(rows), "rows": rows})
         _emit_json(payload)

@@ -10,15 +10,16 @@ the rank-two pieces of the cohomology of the family.  A row has r_3 = -r_1
 and r_4 = -r_2 mod N, and row 2 is row 1 with coordinates (12)(34) swapped,
 so the row span is {(a, b, -a, -b) : (a, b) in G} for the deck group
 G = <(r1, r2), (r2, r1)> = <col_1, .., col_4> of (Z/NZ)^2 (see ``surface``).
-G is enumerated once, as pairs, and everything below is read off it.
+G is enumerated once, as pairs, for the row span and the surface.
 
-For a row vector r the fractional parts t_j(r) = {r_j / N} control
-everything: a piece is nonzero exactly when t(r) = 2 = t(-r), which holds on
+For a row vector r the fractional parts t_j(r) = {r_j / N} control the
+pieces: a piece is nonzero exactly when t(r) = 2 = t(-r), which holds on
 every zero-free r = (a, b, N - a, N - b); the Klein four group permutes
-pieces by coordinate swaps, and one representative per size-four orbit is
-selected by t_1(r) > max(t_2, t_3, t_4).  Each selected piece carries a
-hyperbolic triangle with angles (kappa, mu, nu) in units of pi and a
-Lyapunov exponent.
+pieces by coordinate swaps, and t_1(r) > max(t_2, t_3, t_4) selects one per
+size-four orbit.  ``verify`` keeps that selection over G as its oracle;
+``summands`` reads the selected pieces off their closed form, one per
+lattice point (k, j), each with a hyperbolic triangle of angles
+(0, k/m, j/n) in units of pi and a Lyapunov exponent.
 """
 from __future__ import annotations
 
@@ -165,29 +166,23 @@ def klein_orbits(params: CurveParams) -> list[frozenset[Vector]]:
 def summands(params: CurveParams) -> tuple[Summand, ...]:
     """The selected summands of S(n, m), in canonical order.
 
-    Selection: r in the row span with t(r) = 2 = t(-r) and
-    t_1(r) > max(t_2, t_3, t_4), where t_j(r) = {r_j / N}; this picks one
-    representative from each size-four Klein orbit of nonzero pieces.  With
-    t_i = t_i(-r) the angles are kappa = |1 - t1 - t3| (always 0),
-    mu = |1 - t2 - t3| and nu = |1 - t1 - t2|, and the Lyapunov exponent is
-    2 min_j {t_j, 1 - t_j} / (1 - 1/n - 1/m).
+    One per lattice point (k, j), 1 <= k < m, 1 <= j < n, nk + mj < nm, with
+    k = j mod 2 when n and m are both even: the vector r = (nm + nk + mj,
+    nm - nk + mj, nm - nk - mj, nm + nk - mj), angles (0, k/m, j/n) and
+    Lyapunov exponent (nm - nk - mj) / (nm - n - m).  ``verify`` checks them
+    against the t-value selection over the row span.
 
-    Canonical order: descending Lyapunov exponent, then lexicographic
-    (mu, nu).  The count of summands equals the genus of T(n, m).
+    Canonical order: descending exponent, then lexicographic (mu, nu), i.e.
+    ascending (nk + mj, k).  The count of summands is the genus of T(n, m).
     """
-    n, m, N = params.n, params.m, params.N
-    out = []
-    # On r = (a, b, N - a, N - b), t_1 > max(t_2, t_3, t_4) reads a > b,
-    # a > N - a, a > N - b; the last rules out zero entries, and with no
-    # zero entry t(r) = 2 = t(-r) holds.
-    for a, b in _span_entries(n, m):
-        if not (a > b and 2 * a > N and a + b > N):
-            continue
-        # |1 - t_i(-r) - t_j(-r)| = |r_i + r_j - N| / N, so kappa = 0
-        mu, nu = Fraction(a - b, N), Fraction(a + b - N, N)
-        out.append(Summand(
-            (a, b, N - a, N - b), Fraction(0), mu, nu,
-            Fraction(min(a, b, N - a, N - b), n * m - n - m),
-            mu.numerator == 1 and nu.numerator == 1))
-    out.sort(key=lambda s: (-s.lyapunov, s.mu, s.nu))
-    return tuple(out)
+    n, m = params.n, params.m
+    nm = n * m
+    both_even = n % 2 == 0 and m % 2 == 0
+    points = sorted((n * k + m * j, k, j) for k in range(1, m)
+                    for j in range(1, (nm - n * k - 1) // m + 1)
+                    if not both_even or (k - j) % 2 == 0)
+    return tuple(
+        Summand((nm + w, nm - n * k + m * j, nm - w, nm + n * k - m * j),
+                Fraction(0), Fraction(k, m), Fraction(j, n),
+                Fraction(nm - w, nm - n - m), m % k == 0 and n % j == 0)
+        for w, k, j in points)

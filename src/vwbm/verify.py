@@ -86,7 +86,16 @@ class Check:
 
 
 def _pair_outcomes(checks, pair) -> tuple[str | None, ...]:
-    return tuple(check.worker(pair) for check in checks)
+    """Each check's counterexample at the pair; a check that raises fails
+    there, and the other checks of the pair still run."""
+    outcomes = []
+    for check in checks:
+        try:
+            outcomes.append(check.worker(pair))
+        except (ArithmeticError, AssertionError, ValueError) as exc:
+            outcomes.append(
+                f"({pair[0]},{pair[1]}): {type(exc).__name__}: {exc}")
+    return tuple(outcomes)
 
 
 def _sweep(checks, nmax: int) -> list[CheckResult]:
@@ -139,17 +148,12 @@ def _klein_pair(pair) -> str | None:
     n, m = pair
     params = CurveParams(n, m)
     nm = n * m
-    selected = {s.vector for s in summands(params)}
     pieces = _piece_orbits(params)
-    free = [orbit for orbit in pieces if len(orbit) == 4]
-    for orbit in free:
-        hits = len(selected & orbit)
-        if hits != 1:
-            return f"({n},{m}): size-4 orbit selected {hits} times"
-    # with one hit per free orbit, this also keeps the Klein-fixed
-    # (nm, nm, nm, nm) and every other degenerate orbit unselected
-    if len(selected) != len(free):
-        return f"({n},{m}): {len(selected)} summands vs {len(free)} free orbits"
+    # t_1 > max(t_2, t_3, t_4) picks the member of a free orbit that leads
+    # with its strict maximum entry: the orbit's lex maximum, one per orbit
+    selected = sorted(max(orbit) for orbit in pieces if len(orbit) == 4)
+    if sorted(s.vector for s in summands(params)) != selected:
+        return f"({n},{m}): summands differ from the t-value selection"
     # nonzero sigma3-fixed vectors without zero entries must be all-nm
     for orbit in pieces:
         for e in orbit:
@@ -323,11 +327,11 @@ def _cosine_root_identity(q: IntPolynomial, m: int) -> bool:
     determines Q, so the identity holds exactly when Q is that cosine
     product: its roots are real, simple and in [-2, 2].
     """
-    d = q.degree()
     p_squared_plus_one = X * X + IntPolynomial((1,))
+    # Horner in p^2 + 1: R_d = c_d, R_k = c_k p^(d-k) + (p^2 + 1) R_(k+1)
     lhs = IntPolynomial(())
-    for k, c in enumerate(q.coeffs):
-        lhs = lhs + c * p_squared_plus_one ** k * X ** (d - k)
+    for i, c in enumerate(reversed(q.coeffs)):
+        lhs = IntPolynomial((0,) * i + (c,)) + p_squared_plus_one * lhs
     if m % 2:
         return lhs == IntPolynomial((1,) * m)
     return lhs == IntPolynomial((1,) + (0,) * (m - 1) + (1,))
@@ -374,18 +378,27 @@ def _spectrum_pair(pair) -> str | None:
     n, m = pair
     params = CurveParams(n, m)
     sums = summands(params)
-    step = Fraction(params.gamma, n * m - n - m)
+    N, chi, g = params.N, n * m - n - m, params.gamma
     for s in sums:
-        if s.lyapunov <= 0 or s.lyapunov > 1:
+        # the printed fractions are read off the vector (a, b, ., .):
+        # mu N = a - b, nu N = a + b - N and lambda chi = min r
+        a, b = s.vector[:2]
+        mu_n, nu_n, low = a - b, a + b - N, min(s.vector)
+        if (s.mu.numerator * N != mu_n * s.mu.denominator
+                or s.nu.numerator * N != nu_n * s.nu.denominator
+                or s.lyapunov.numerator * chi != low * s.lyapunov.denominator):
+            return f"({n},{m}): mu, nu, lambda do not match {s.vector}"
+        if not 0 < low <= chi:
             return f"({n},{m}): exponent {s.lyapunov} outside (0, 1]"
-        if (s.lyapunov / step).denominator != 1:
-            return f"({n},{m}): {s.lyapunov} is not a multiple of {step}"
-        if s.kappa != 0 or not (0 < s.mu < 1) or not (0 < s.nu < 1):
+        if low % g:
+            return f"({n},{m}): {s.lyapunov} is not a multiple of {g}/{chi}"
+        if s.kappa != 0 or not (0 < mu_n < N) or not (0 < nu_n < N):
             return f"({n},{m}): bad angle triple {s.angles}"
-        if (s.mu * m).denominator != 1 or (s.nu * n).denominator != 1:
+        if mu_n % (2 * n) or nu_n % (2 * m):
             return f"({n},{m}): angle denominators escape 1/m, 1/n lattices"
-        defect = (1 - s.kappa - s.mu - s.nu) / (1 - Fraction(1, n) - Fraction(1, m))
-        if defect != s.lyapunov:
+        # the area-defect law lambda = (1 - mu - nu) / (1 - 1/n - 1/m),
+        # multiplied by N chi / nm
+        if 2 * low != N - mu_n - nu_n:
             return f"({n},{m}): area-defect law fails at {s.angles}"
     top = sums[0]
     if top.lyapunov != 1 or top.angles != (0, Fraction(1, m), Fraction(1, n)):

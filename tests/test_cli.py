@@ -214,3 +214,28 @@ def test_generator_bytes_match_recorded_digests(capsys):
     assert _changed_outputs(capsys, "generator", recorded["generator"]) == []
     # one digest per info pair: json only
     assert _changed_outputs(capsys, "info", recorded["info"]) == []
+
+
+def test_summand_bytes_match_recorded_digests(capsys):
+    # sha256 of spectrum and info (json, csv, md) for n, m <= 12 and three
+    # anchors, and of table 20 20, recorded before the summands were read
+    # off their closed form instead of a scan of the deck group
+    path = Path(__file__).parent / "data" / "summands_sha256.json"
+    recorded = json.loads(path.read_text())
+    pairs = {f"{n} {m}" for n, m in valid_pairs(12)} | {"40 30", "60 61",
+                                                         "61 60"}
+    assert set(recorded["spectrum"]) == set(recorded["info"]) == pairs
+    assert set(recorded["table"]) == {"20 20"}
+    for command in ("spectrum", "info", "table"):
+        assert _changed_outputs(capsys, command, recorded[command]) == []
+
+
+def test_report_commands_build_no_deck_group(capsys):
+    # info, table and spectrum read the summands off their closed form
+    from vwbm import rowspan
+    rowspan._span_entries.cache_clear()
+    for argv in (["info", "12", "8"], ["table", "6", "6"],
+                 ["spectrum", "9", "6"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert rowspan._span_entries.cache_info().misses == 0

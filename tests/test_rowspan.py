@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from vwbm.rowspan import (CurveParams, _matrix_rows, klein_action,
-                          klein_orbit, row_span, span_closure, summands)
+from vwbm.rowspan import (CurveParams, Summand, _matrix_rows, _span_entries,
+                          klein_action, klein_orbit, row_span, span_closure,
+                          summands)
 from vwbm.verify import valid_pairs
 
 F = Fraction
@@ -165,3 +166,28 @@ def test_summand_order_is_canonical():
         got = summands(CurveParams(*pair))
         keys = [(-s.lyapunov, s.mu, s.nu) for s in got]
         assert keys == sorted(keys)
+
+
+def _selected_on_the_deck_group(n, m):
+    """The t-value selection as a scan of G: t_1 > max(t_2, t_3, t_4) on
+    r = (a, b, N - a, N - b) reads a > b, 2a > N, a + b > N, and the angles
+    and exponent are read off the t-values of r."""
+    N = 2 * n * m
+    out = []
+    for a, b in _span_entries(n, m):
+        if not (a > b and 2 * a > N and a + b > N):
+            continue
+        mu, nu = F(a - b, N), F(a + b - N, N)
+        out.append(Summand(
+            (a, b, N - a, N - b), F(0), mu, nu,
+            F(min(a, b, N - a, N - b), n * m - n - m),
+            mu.numerator == 1 and nu.numerator == 1))
+    out.sort(key=lambda s: (-s.lyapunov, s.mu, s.nu))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n,m", valid_pairs(24))
+def test_summands_equal_the_selection_on_the_deck_group(n, m):
+    # the lattice points (k, j) are exactly the selected span elements,
+    # in the same canonical order
+    assert summands(CurveParams(n, m)) == _selected_on_the_deck_group(n, m)

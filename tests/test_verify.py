@@ -8,8 +8,8 @@ from vwbm.generators import generator_equation, verify_equation_numeric
 from vwbm.rowspan import CurveParams
 from vwbm.verify import (VERIFY_NMAX_MAX, Check, CheckResult,
                          _cosine_root_identity, _sweep, _thread_cap,
-                         check_klein_orbits,
-                         check_rowspan_identities, check_swap_symmetry,
+                         check_klein_orbits, check_rowspan_identities,
+                         check_spectrum_laws, check_swap_symmetry,
                          run_suite, valid_pairs)
 
 
@@ -129,7 +129,8 @@ def test_suite_builds_each_row_span_about_once(monkeypatch):
 
 
 def test_genus_level_enumerates_each_deck_group_once(monkeypatch):
-    # the row span, the selection and the surface share one closure of G
+    # the Klein orbits and the surface share one closure of G; the summands
+    # are read off their closed form and close none
     from vwbm import rowspan, surface, verify
     monkeypatch.setenv("VWBM_THREADS", "1")
     calls = []
@@ -198,3 +199,56 @@ def test_trace_level_checks_the_hecke_degree_at_every_pair(monkeypatch):
     monkeypatch.setattr(invariants, "hecke_scalars", recording)
     assert all(r.passed for r in run_suite(13, "trace"))
     assert (13, 13) in seen and sorted(seen) == valid_pairs(13)
+
+
+def test_selection_checks_pin_the_chosen_orbit_member(monkeypatch):
+    # the sigma2 image (b, a, N - b, N - a) of each summand still meets every
+    # free orbit once; both checks must see that it is not the one selected
+    from dataclasses import replace
+
+    from vwbm import rowspan, verify
+    monkeypatch.setenv("VWBM_THREADS", "1")
+
+    def sigma2_images(params):
+        return tuple(
+            replace(s, vector=rowspan.klein_action(s.vector, "sigma2"))
+            for s in rowspan.summands(params))
+
+    monkeypatch.setattr(verify, "summands", sigma2_images)
+    assert not check_klein_orbits(8).passed
+    assert not check_spectrum_laws(8).passed
+
+
+def test_a_check_that_raises_fails_at_its_pair(monkeypatch, capsys):
+    from vwbm import generators
+    monkeypatch.setenv("VWBM_THREADS", "1")
+
+    def inexact(eq):
+        raise ValueError("inexact polynomial division")
+
+    monkeypatch.setattr(generators, "differential_description", inexact)
+    code = main(["verify", "4", "--level", "generators"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert captured.out.splitlines() == [
+        "FAIL  generator equations exact vs numeric (8 pairs)  "
+        "[(2,3): ValueError: inexact polynomial division]",
+        "FAIL  overall (nmax=4)"]
+
+
+def test_a_raising_check_leaves_the_other_checks_running(monkeypatch, capsys):
+    monkeypatch.setenv("VWBM_THREADS", "1")
+
+    def broken_census(surface):
+        raise AssertionError("lift classes do not divide")
+
+    monkeypatch.setattr("vwbm.verify.lift_class_count", broken_census)
+    code = main(["verify", "4"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert failed == [
+        "FAIL  pillowcase symmetry lift suite (8 pairs)  "
+        "[(2,3): AssertionError: lift classes do not divide]",
+        "FAIL  overall (nmax=4)"]
+    assert len(lines) == 11
