@@ -14,10 +14,8 @@ pool used by the verification sweeps.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .exact import poly_str
@@ -35,16 +33,12 @@ SCHEMA = "vwbm-report/1"
 FORMATS = ("json", "csv", "md")
 
 
-def _frac(q: Fraction) -> str:
-    return str(q)
-
-
 def _summand_dict(s: Summand) -> dict:
     return {
-        "kappa": _frac(s.kappa),
-        "mu": _frac(s.mu),
-        "nu": _frac(s.nu),
-        "lyapunov": _frac(s.lyapunov),
+        "kappa": str(s.kappa),
+        "mu": str(s.mu),
+        "nu": str(s.nu),
+        "lyapunov": str(s.lyapunov),
         "tiling": s.tiling,
     }
 
@@ -86,7 +80,7 @@ def _report_dict(report: CurveReport) -> dict:
         "schema": SCHEMA,
         "params": _params_dict(report.params),
         "genus": report.genus,
-        "spectrum": [_frac(x) for x in report.spectrum],
+        "spectrum": [str(x) for x in report.spectrum],
         "summands": [_summand_dict(s) for s in report.summand_list],
         "arithmetic": report.arithmetic,
         "uniformizer": report.uniformizer.label(),
@@ -115,6 +109,7 @@ def _emit_json(payload) -> None:
 
 
 def _csv_out(rows: list[dict], header: list[str]) -> None:
+    import csv  # imported here, so only csv output pays for loading it
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -133,8 +128,8 @@ def _md_table(params: CurveParams) -> str:
     lines = [f"### T({params.n},{params.m})", "",
              "| (kappa, mu, nu) | exponent |", "| --- | --- |"]
     for s in reversed(summands(params)):
-        triple = f"({_frac(s.kappa)}, {_frac(s.mu)}, {_frac(s.nu)})"
-        lam = _frac(s.lyapunov)
+        triple = f"({s.kappa}, {s.mu}, {s.nu})"
+        lam = str(s.lyapunov)
         if s.tiling:
             triple, lam = f"**{triple}**", f"**{lam}**"
         lines.append(f"| {triple} | {lam} |")
@@ -208,7 +203,7 @@ def cmd_table(args) -> int:
 
 def cmd_spectrum(args) -> int:
     params = CurveParams(args.n, args.m)
-    values = [_frac(x) for x in (s.lyapunov for s in summands(params))]
+    values = [str(s.lyapunov) for s in summands(params)]
     if args.format == "json":
         _emit_json({"params": _params_dict(params), "spectrum": values})
     elif args.format == "csv":

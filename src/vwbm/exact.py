@@ -23,27 +23,32 @@ No floating point is used anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+# Value types are tuples, not data classes: those cost ~30 ms of start-up.
+class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
     """A polynomial over Z, as ascending coefficients with no trailing zeros.
 
     ``IntPolynomial((1, 0, 1))`` is x^2 + 1, ``IntPolynomial(())`` is 0.
+    The ring operators below replace tuple concatenation and repetition.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    def __new__(cls, coeffs):
+        coeffs = tuple(coeffs)
         end = len(coeffs)
         while end and coeffs[end - 1] == 0:
             end -= 1
-        object.__setattr__(self, "coeffs", coeffs[:end])
+        return super().__new__(cls, coeffs[:end])
+
+    @classmethod
+    def _make(cls, fields):            # so ``_replace`` normalises too
+        return cls(*fields)
 
     # -- basic queries ----------------------------------------------------
 
@@ -280,8 +285,7 @@ def _root_sum_vector(K: int, exponents: Iterable[int]) -> tuple[int, ...]:
     return tuple(acc)
 
 
-@dataclass(frozen=True)
-class CyclotomicElement:
+class CyclotomicElement(namedtuple("CyclotomicElement", "order coords")):
     """An element of Z[zeta_K] in the power basis modulo Phi_K.
 
     ``coords`` are phi(K) integers.  Equality is coordinate-wise, which is
@@ -291,13 +295,17 @@ class CyclotomicElement:
     it.
     """
 
-    order: int
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        d = euler_phi(self.order)
-        if len(self.coords) != d:
-            raise ValueError(f"need {d} coordinates for order {self.order}")
+    def __new__(cls, order, coords):
+        d = euler_phi(order)
+        if len(coords) != d:
+            raise ValueError(f"need {d} coordinates for order {order}")
+        return super().__new__(cls, order, coords)
+
+    @classmethod
+    def _make(cls, fields):            # so ``_replace`` validates too
+        return cls(*fields)
 
     @classmethod
     def from_root_powers(cls, K: int, exponents: Iterable[int]) -> "CyclotomicElement":

@@ -27,7 +27,7 @@ cross-check oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import IntPolynomial, chebyshev_c, poly_str
 from .rowspan import CurveParams
@@ -39,8 +39,7 @@ CASE_M_EVEN_N_ODD = "m_even_n_odd"
 CASE_BOTH_EVEN = "both_even"
 
 
-@dataclass(frozen=True)
-class GeneratorEquation:
+class GeneratorEquation(NamedTuple):
     """y^y_exponent = rhs(u), with one-form y du / differential_denominator.
 
     ``rhs_factored`` is (a, Q, mult) with rhs = (u - 2)^a * Q^mult for the
@@ -112,8 +111,7 @@ def _product_form_value(eq: GeneratorEquation, params: CurveParams, u: float) ->
     return (u - 2.0) ** (n // 2) * prod
 
 
-@dataclass(frozen=True)
-class NumericCheck:
+class NumericCheck(NamedTuple):
     ok: bool
     max_relative_deviation: float
     sample_points: int

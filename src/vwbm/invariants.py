@@ -17,8 +17,8 @@ the size of the pointwise Galois stabilizer of the generators.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import (CyclotomicElement, _divisors, _is_prime, euler_phi,
                     subfield_degree)
@@ -53,8 +53,7 @@ def is_arithmetic(params: CurveParams) -> bool:
     return tuple(sorted((params.n, params.m))) in ARITHMETIC_PAIRS
 
 
-@dataclass(frozen=True)
-class Uniformizer:
+class Uniformizer(NamedTuple):
     """Label for the uniformizing Fuchsian group of T(n, m).
 
     ``signature`` entries are integers or None for a cusp; ``index_two`` is
@@ -76,8 +75,7 @@ class Uniformizer:
         return (self.index_two, key)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     arithmetic: bool
     uniformizer: Uniformizer
     zero_count: int
@@ -149,8 +147,7 @@ def covers(params: CurveParams) -> tuple[CurveParams, ...]:
     return tuple(sorted(out, key=lambda p: (p.n, p.m)))
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(NamedTuple):
     """Containment certificate: k times the row span of S(n', m') lands in
     the row span of S(n, m), where k = nm / (n'm')."""
 
@@ -233,8 +230,7 @@ def admissible_triangle_group(params: CurveParams) -> bool:
     return deg_f != 2 * deg_e
 
 
-@dataclass(frozen=True)
-class HeckeScalars:
+class HeckeScalars(NamedTuple):
     """The three deck-transformation scalars acting on the generating form,
     as exact elements of Q(zeta_N), N = 2nm, and the degree of the field
     they generate (always deg E)."""
@@ -277,8 +273,7 @@ def _ap_criterion(n: int, m: int) -> bool:
     return other >= 2 and other & (other - 1) == 0
 
 
-@dataclass(frozen=True)
-class PrimitivityVerdict:
+class PrimitivityVerdict(NamedTuple):
     """Algebraic primitivity; not applicable on arithmetic curves.
 
     When applicable, the number-theoretic criterion and the degree test
@@ -306,8 +301,7 @@ def algebraically_primitive(params: CurveParams) -> PrimitivityVerdict:
 # aggregate report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurveReport:
+class CurveReport(NamedTuple):
     params: CurveParams
     genus: int
     spectrum: tuple[Fraction, ...]

@@ -23,10 +23,11 @@ lattice point (k, j), each with a hyperbolic triangle of angles
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 KLEIN_ELEMENTS = ("id", "sigma2", "sigma3", "sigma4")
 
@@ -42,16 +43,19 @@ _KLEIN_PERMS = {
 Vector = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class CurveParams:
+class CurveParams(namedtuple("CurveParams", "n m")):
     """A validated parameter pair (n, m) with n, m > 1 and nm >= 6."""
 
-    n: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n <= 1 or self.m <= 1 or self.n * self.m < 6:
+    def __new__(cls, n, m):
+        if n <= 1 or m <= 1 or n * m < 6:
             raise ValueError("n, m must exceed 1 and nm >= 6")
+        return super().__new__(cls, n, m)
+
+    @classmethod
+    def _make(cls, fields):            # so ``_replace`` validates too
+        return cls(*fields)
 
     @property
     def N(self) -> int:
@@ -66,8 +70,7 @@ class CurveParams:
         return lcm(self.n, self.m)
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(NamedTuple):
     """A selected row vector with its triangle angles and Lyapunov exponent.
 
     ``vector`` has canonical entries in [0, N).  Angles are in units of pi;

@@ -63,7 +63,6 @@ classes is a quotient of group orders.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple
 
@@ -84,8 +83,7 @@ class Square(NamedTuple):
     color: str
 
 
-@dataclass(frozen=True)
-class ColumnSpan:
+class ColumnSpan(NamedTuple):
     """The deck group: subgroup of (Z/NZ)^2 spanned by the matrix columns."""
 
     modulus: int
@@ -100,8 +98,7 @@ class ColumnSpan:
         return oa * ob // gcd(oa, ob)
 
 
-@dataclass(frozen=True)
-class CombSurface:
+class CombSurface(NamedTuple):
     """S(n, m) as colored squares over the column span, with deck action."""
 
     params: CurveParams
@@ -145,8 +142,7 @@ def build_surface(params: CurveParams) -> CombSurface:
 PROBES = (Square((0, 0), WHITE), Square((0, 0), BLACK))
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetryLift:
+class SymmetryLift(NamedTuple):
     """A lift of a pillowcase symmetry: the square c of color k goes to
     linear(c) + shifts[k] with the color flipped, shifts = (white, black)."""
 
@@ -241,8 +237,7 @@ def fixed_edges(surface: CombSurface, lift: SymmetryLift) -> tuple[tuple[Square,
                  for tag, target in targets if lift.displacement(c) == target)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of an exhaustive check, with a witness on failure."""
 
     ok: bool
@@ -333,8 +328,7 @@ def surface_genus(surface: CombSurface) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class LiftClassSummary:
+class LiftClassSummary(NamedTuple):
     """Census of fixed-point lift pairs of the pillowcase symmetry group."""
 
     classes: int

@@ -16,10 +16,9 @@ pool never gets more workers than there are CPUs or pairs to check.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import generators as gens
 from . import invariants as inv
@@ -32,12 +31,11 @@ from .surface import (build_surface, commute_check,
                       lift_sigma4, surface_genus)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
-    stats: dict = field(default_factory=dict)
+    stats: dict = {}                   # shared default, read but never written
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -73,8 +71,7 @@ def _map_pairs(worker, pairs):
     return [worker(p) for p in pairs]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A named check and its per-pair worker, which returns a counterexample
     or None.  Calling it with nmax sweeps it over ``valid_pairs(nmax)``."""
 
@@ -379,6 +376,7 @@ def _spectrum_pair(pair) -> str | None:
     params = CurveParams(n, m)
     sums = summands(params)
     N, chi, g = params.N, n * m - n - m, params.gamma
+    prev = None
     for s in sums:
         # the printed fractions are read off the vector (a, b, ., .):
         # mu N = a - b, nu N = a + b - N and lambda chi = min r
@@ -388,6 +386,11 @@ def _spectrum_pair(pair) -> str | None:
                 or s.nu.numerator * N != nu_n * s.nu.denominator
                 or s.lyapunov.numerator * chi != low * s.lyapunov.denominator):
             return f"({n},{m}): mu, nu, lambda do not match {s.vector}"
+        # so (-min r, a - b) is the printed order: descending exponent, then
+        # mu; nu is then fixed by the area-defect law below
+        if prev is not None and (-low, mu_n) <= prev:
+            return f"({n},{m}): summands out of canonical order at {s.angles}"
+        prev = (-low, mu_n)
         if not 0 < low <= chi:
             return f"({n},{m}): exponent {s.lyapunov} outside (0, 1]"
         if low % g:

@@ -38,6 +38,18 @@ def test_cli_import_leaves_out_multiprocessing():
     assert proc.stdout.split() == ["False"]
 
 
+def test_cli_import_loads_every_layer_and_no_dataclasses():
+    # the value types are tuples; the benchmark tracer wraps layer functions
+    # only in modules already loaded, so every layer is imported eagerly
+    layers = ["vwbm.exact", "vwbm.rowspan", "vwbm.generators",
+              "vwbm.invariants", "vwbm.surface", "vwbm.verify"]
+    proc = run_fresh("-c", "import sys, vwbm.cli; "
+                     f"print(*(m in sys.modules for m in {layers!r}), "
+                     "'dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"] * len(layers) + ["False", "False"]
+
+
 def test_verify_passes_under_optimized_mode():
     proc = run_optimized("-m", "vwbm.cli", "verify", "4")
     assert proc.returncode == 0, proc.stderr
@@ -54,12 +66,11 @@ def test_verify_bound_survives_optimized_mode():
 
 def test_differential_check_survives_optimized_mode():
     code = """
-import dataclasses
 from vwbm.generators import differential_description, generator_equation
 from vwbm.rowspan import CurveParams
 eq = generator_equation(CurveParams(2, 7))
 print(eq.case)
-bad = dataclasses.replace(eq, differential_denominator=eq.rhs)
+bad = eq._replace(differential_denominator=eq.rhs)
 try:
     differential_description(bad)
 except AssertionError:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from vwbm.rowspan import CurveParams, _matrix_rows, row_span, span_closure
@@ -196,9 +194,8 @@ def test_cylinder_check_tests_the_columns():
     # classes mod col_1 + col_3; sigma2 breaks them, but not at (0, 0)
     surface = build_surface(CurveParams(2, 7))
     c1, c2, c3, c4 = surface.span.columns
-    swapped = dataclasses.replace(
-        surface, span=dataclasses.replace(surface.span,
-                                          columns=(c1, c2, c4, c3)))
+    swapped = surface._replace(
+        span=surface.span._replace(columns=(c1, c2, c4, c3)))
     report = cylinder_preservation_check(swapped, lift_sigma2(swapped))
     assert not report.ok and report.witness[0].label != (0, 0)
     table = _base_tables(swapped)[("sigma2", None)]

@@ -1,0 +1,64 @@
+"""The value types are tuples: their contracts beyond plain tuple behaviour.
+
+The three types with an invariant (IntPolynomial, CyclotomicElement,
+CurveParams) normalise or validate in ``__new__``, also on ``_replace``;
+every value type is immutable; and the parallel verify path pickles them.
+"""
+import pickle
+
+import pytest
+
+from vwbm.exact import CyclotomicElement, IntPolynomial
+from vwbm.rowspan import CurveParams, summands
+from vwbm.verify import LEVELS, CheckResult, run_suite
+
+
+def test_invariants_hold_on_construction_and_replace():
+    p = IntPolynomial((1, 2, 0, 0))
+    assert p.coeffs == (1, 2)
+    assert p._replace(coeffs=(5, 0)).coeffs == (5,)
+    with pytest.raises(ValueError):
+        CurveParams(1, 5)
+    with pytest.raises(ValueError):
+        CurveParams(3, 4)._replace(n=1)
+    with pytest.raises(ValueError, match="need 4 coordinates for order 5"):
+        CyclotomicElement(5, (1, 2, 3))
+    with pytest.raises(ValueError):
+        CyclotomicElement.from_root_powers(5, (1,))._replace(coords=(1,))
+
+
+@pytest.mark.parametrize("value,attr", [
+    (CurveParams(3, 4), "n"),
+    (CurveParams(3, 4), "extra"),
+    (IntPolynomial((1, 1)), "coeffs"),
+    (summands(CurveParams(2, 7))[0], "tiling"),
+    (CheckResult("demo", True), "passed"),
+])
+def test_values_are_immutable(value, attr):
+    with pytest.raises(AttributeError):
+        setattr(value, attr, 0)
+
+
+def test_scalar_times_polynomial_scales_the_coefficients():
+    p = IntPolynomial((1, 1))
+    assert 3 * p == p * 3 == IntPolynomial((3, 3))
+    assert p + p == IntPolynomial((2, 2))
+    assert repr(CurveParams(3, 4)) == "CurveParams(n=3, m=4)"
+
+
+def test_values_survive_pickling():
+    # VWBM_THREADS > 1 sends the checks to worker processes
+    values = [CurveParams(3, 4), IntPolynomial((1, 0, 2)),
+              CyclotomicElement.from_root_powers(12, (1, -1)),
+              summands(CurveParams(4, 6))[1], *LEVELS["spectrum"]]
+    for value in values:
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and type(copy) is type(value)
+
+
+def test_parallel_suite_matches_the_serial_one(monkeypatch):
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    serial = run_suite(6, "all")
+    monkeypatch.setenv("VWBM_THREADS", "2")
+    assert run_suite(6, "all") == serial
+    assert all(r.passed for r in serial)

@@ -204,19 +204,35 @@ def test_trace_level_checks_the_hecke_degree_at_every_pair(monkeypatch):
 def test_selection_checks_pin_the_chosen_orbit_member(monkeypatch):
     # the sigma2 image (b, a, N - b, N - a) of each summand still meets every
     # free orbit once; both checks must see that it is not the one selected
-    from dataclasses import replace
-
     from vwbm import rowspan, verify
     monkeypatch.setenv("VWBM_THREADS", "1")
 
     def sigma2_images(params):
         return tuple(
-            replace(s, vector=rowspan.klein_action(s.vector, "sigma2"))
+            s._replace(vector=rowspan.klein_action(s.vector, "sigma2"))
             for s in rowspan.summands(params))
 
     monkeypatch.setattr(verify, "summands", sigma2_images)
     assert not check_klein_orbits(8).passed
     assert not check_spectrum_laws(8).passed
+
+
+def test_spectrum_level_pins_the_printed_order(monkeypatch, capsys):
+    # ordered by (nk + mj, j) instead of (nk + mj, k): the same summands,
+    # with mu descending among equal exponents
+    from vwbm import rowspan, verify
+    monkeypatch.setenv("VWBM_THREADS", "1")
+
+    def by_exponent_then_nu(params):
+        return tuple(sorted(rowspan.summands(params),
+                            key=lambda s: (-s.lyapunov, s.nu)))
+
+    monkeypatch.setattr(verify, "summands", by_exponent_then_nu)
+    code = main(["verify", "16", "--level", "spectrum"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert lines[0].startswith("FAIL  spectrum laws and tiling correspondence")
+    assert "out of canonical order" in lines[0]
 
 
 def test_a_check_that_raises_fails_at_its_pair(monkeypatch, capsys):
