@@ -148,7 +148,7 @@ class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
 X = IntPolynomial((0, 1))
 
 
-def poly_str(p: IntPolynomial, var: str = "u") -> str:
+def poly_str(p: IntPolynomial) -> str:
     """Human-readable rendering, highest degree first: ``u^5 - 5u^3 + 5u - 2``."""
     if p.is_zero():
         return "0"
@@ -162,7 +162,7 @@ def poly_str(p: IntPolynomial, var: str = "u") -> str:
         if i == 0:
             body = str(mag)
         else:
-            power = var if i == 1 else f"{var}^{i}"
+            power = "u" if i == 1 else f"u^{i}"
             body = power if mag == 1 else f"{mag}{power}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")

@@ -10,7 +10,7 @@ the rank-two pieces of the cohomology of the family.  A row has r_3 = -r_1
 and r_4 = -r_2 mod N, and row 2 is row 1 with coordinates (12)(34) swapped,
 so the row span is {(a, b, -a, -b) : (a, b) in G} for the deck group
 G = <(r1, r2), (r2, r1)> = <col_1, .., col_4> of (Z/NZ)^2 (see ``surface``).
-G is enumerated once, as pairs, for the row span and the surface.
+G is listed by its closed form, as pairs, for the row span and the surface.
 
 For a row vector r the fractional parts t_j(r) = {r_j / N} control the
 pieces: a piece is nonzero exactly when t(r) = 2 = t(-r), which holds on
@@ -126,9 +126,14 @@ def span_closure(gens, modulus: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=64)
 def _span_entries(n: int, m: int) -> tuple[tuple[int, int], ...]:
-    """The deck group G as sorted pairs, closed from (r1, r2) and (r2, r1)."""
-    r1, r2 = _matrix_rows(n, m)[0][:2]
-    return span_closure(((r1, r2), (r2, r1)), 2 * n * m)
+    """The deck group G, sorted: (mu + nv, mu - nv) and that plus (nm, nm) for
+    0 <= u < n, 0 <= v < m, with u = v mod 2 if n and m are both even; i.e.
+    2m | a + b, 2n | a - b and, if both even, (a + b)/2m = (a - b)/2n mod 2."""
+    nm, N = n * m, 2 * n * m
+    return tuple(sorted(
+        ((m * u + n * v + h) % N, (m * u - n * v + h) % N)
+        for u in range(n) for v in range(m)
+        if n % 2 or m % 2 or (u - v) % 2 == 0 for h in (0, nm)))
 
 
 def row_span(params: CurveParams) -> tuple[Vector, ...]:

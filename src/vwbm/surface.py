@@ -5,8 +5,8 @@ subgroup G of (Z/NZ)^2 generated by the four columns of the defining matrix,
 with one white and one black square per label.  The deck transformation T_j
 adds column j to the label and preserves color.  Since col_3 = -col_1 and
 col_4 = -col_2 with col_2 the swap of col_1, G is also the group behind the
-row span, {(a, b, -a, -b) : (a, b) in G} (see ``rowspan``), and its one
-enumeration is shared with it.
+row span, {(a, b, -a, -b) : (a, b) in G}, and ``rowspan`` lists it by its
+closed form for both.
 
 Edge conventions.  Every edge borders one white and one black square and is
 tagged by the pair of corner points it joins (12, 23, 34 or 14).  The tag
@@ -51,9 +51,9 @@ checked on those two squares only.
 
 Fixed edges and cylinders are equations in the deck group G as well.  The
 lift fixes the edge with a given tag of the white square c exactly when
-(A - I) c = offset_tag - s_w, which is solved over G.  It preserves the
-cylinders when c -> (A - I) c + s_k - offset_k lands in a cyclic subgroup,
-which is tested at c = 0 and at the four columns, the generators of G.
+(A - I) c = offset_tag - s_w, solved over the cyclic group (A - I) G.  It
+preserves the cylinders when c -> (A - I) c + s_k - offset_k lands in a
+cyclic subgroup, tested at c = 0 and at the four columns, which generate G.
 
 The lift census counts instead of enumerating.  Involutive lifts L2 of
 sigma2 and L4 of sigma4 always commute: L2 L4 keeps colors and has linear
@@ -66,7 +66,7 @@ from __future__ import annotations
 from math import gcd
 from typing import NamedTuple
 
-from .rowspan import CurveParams, _matrix_rows, _span_entries, span_closure
+from .rowspan import CurveParams, _matrix_rows, _span_entries
 
 WHITE = "w"
 BLACK = "b"
@@ -96,6 +96,11 @@ class ColumnSpan(NamedTuple):
         oa = N // gcd(pair[0] % N, N) if pair[0] % N else 1
         ob = N // gcd(pair[1] % N, N) if pair[1] % N else 1
         return oa * ob // gcd(oa, ob)
+
+    def multiples(self, g: Pair) -> set[Pair]:
+        """The cyclic subgroup <g>: k g for 0 <= k < the order of g."""
+        N = self.modulus
+        return {(k * g[0] % N, k * g[1] % N) for k in range(self.order_of(g))}
 
 
 class CombSurface(NamedTuple):
@@ -219,9 +224,9 @@ def _edge_targets(surface: CombSurface, lift: SymmetryLift) -> list[tuple[str, P
 
 
 def displacement_image(surface: CombSurface, lift: SymmetryLift) -> set[Pair]:
-    """(A - I) G, closed from the images of the columns, which generate G."""
-    gens = tuple(lift.displacement(c) for c in surface.span.columns)
-    return set(span_closure(gens, surface.span.modulus))
+    """(A - I) G: the columns are +-col_1 and +-swap col_1, and (A - I) swap
+    = -+(A - I), so it is the cyclic group of (A - I) col_1."""
+    return surface.span.multiples(lift.displacement(surface.span.columns[0]))
 
 
 def has_fixed_edge(surface: CombSurface, lift: SymmetryLift) -> bool:
@@ -301,7 +306,7 @@ def cylinder_preservation_check(surface: CombSurface, lift: SymmetryLift) -> Che
         gen, offsets = surface.add(c1, c4), ((0, 0), (0, 0))
     else:
         gen, offsets = surface.add(c1, c2), (c4, c3)
-    sub = set(span_closure((gen,), surface.span.modulus))
+    sub = surface.span.multiples(gen)
     for color, shift, offset in zip((WHITE, BLACK), lift.shifts, offsets):
         constant = surface.sub(shift, offset)
         for c in ((0, 0),) + surface.span.columns:

@@ -239,3 +239,21 @@ def test_report_commands_build_no_deck_group(capsys):
         assert main(argv) == 0
     capsys.readouterr()
     assert rowspan._span_entries.cache_info().misses == 0
+
+
+def test_user_commands_close_no_group(capsys, monkeypatch):
+    # G and the cyclic subgroups of the lifts are read off closed forms;
+    # span_closure is left to the oracles of verify
+    from vwbm import rowspan, surface
+    commands = (("surface", "12", "12"), ("surface", "4", "6", "--format", "md"),
+                ("covers", "24", "24", "--certify"), ("info", "12", "8"))
+    expected = [run(capsys, *argv) for argv in commands]
+
+    def no_closure(gens, modulus):
+        raise AssertionError("a user command closed a group")
+
+    monkeypatch.setattr(rowspan, "span_closure", no_closure)
+    monkeypatch.setattr(surface, "span_closure", no_closure, raising=False)
+    rowspan._span_entries.cache_clear()
+    assert [run(capsys, *argv) for argv in commands] == expected
+    assert [code for code, _, _ in expected] == [0] * len(commands)

@@ -59,10 +59,11 @@ def test_columns_sum_to_zero_and_deck_composition():
         assert moved == sq
 
 
-@pytest.mark.parametrize("n,m", valid_pairs(16))
+@pytest.mark.parametrize("n,m",
+                         valid_pairs(16) + [(40, 30), (60, 61), (64, 48)])
 def test_column_span_equals_closure_of_the_four_columns(n, m):
-    # build_surface reads G off the row-span enumeration, which closes only
-    # (r1, r2) and (r2, r1)
+    # build_surface reads G off its closed form in rowspan, which closes no
+    # group; the large pairs cover both parities
     rows = _matrix_rows(n, m)
     columns = [(rows[0][j], rows[1][j]) for j in range(4)]
     assert (build_surface(CurveParams(n, m)).span.elements
@@ -291,14 +292,23 @@ def test_lift_class_count_matches_scan_census(n, m):
 
 @pytest.mark.parametrize("n,m", valid_pairs(16))
 def test_edge_targets_share_one_displacement_coset(n, m):
-    # the census and has_fixed_edge read the first target only
+    # the census and has_fixed_edge read the first target only; the cyclic
+    # subgroups are listed as multiples, and the oracle closes what the
+    # columns generate
     surface = build_surface(CurveParams(n, m))
+    N = surface.span.modulus
+    c1, c2, c3, c4 = columns = surface.span.columns
     lifts = [lift_sigma2(surface), lift_sigma4(surface, 1)]
     if n % 2 == 0 and m % 2 == 0:
         lifts.append(lift_sigma4(surface, 2))
     for lift in lifts:
         (_, first), (_, second) = _edge_targets(surface, lift)
-        assert surface.sub(second, first) in displacement_image(surface, lift)
+        image = displacement_image(surface, lift)
+        assert surface.sub(second, first) in image
+        assert image == set(span_closure(
+            [lift.displacement(c) for c in columns], N))
+        g = surface.add(c1, c4 if lift.kind == "sigma2" else c2)
+        assert surface.span.multiples(g) == set(span_closure((g,), N))
 
 
 @pytest.mark.parametrize("n,m", valid_pairs(8))

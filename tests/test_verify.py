@@ -129,8 +129,9 @@ def test_suite_builds_each_row_span_about_once(monkeypatch):
 
 
 def test_genus_level_enumerates_each_deck_group_once(monkeypatch):
-    # the Klein orbits and the surface share one closure of G; the summands
-    # are read off their closed form and close none
+    # the Klein orbits and the surface share one listing of G per pair, read
+    # off its closed form; the summands are read off theirs, and the level
+    # closes no group
     from vwbm import rowspan, surface, verify
     monkeypatch.setenv("VWBM_THREADS", "1")
     calls = []
@@ -146,9 +147,11 @@ def test_genus_level_enumerates_each_deck_group_once(monkeypatch):
     rowspan._span_entries.cache_clear()
     try:
         assert all(r.passed for r in run_suite(10, "genus"))
+        misses = rowspan._span_entries.cache_info().misses
     finally:
         rowspan._span_entries.cache_clear()
-    assert len(calls) == len(valid_pairs(10))
+    assert calls == []
+    assert misses == len(valid_pairs(10))
 
 
 def test_verify_refuses_an_unmeasured_nmax(monkeypatch, capsys):
