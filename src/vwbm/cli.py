@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable
 
 from . import __version__
 from .exact import poly_str
@@ -26,7 +27,7 @@ from .invariants import (CurveReport, covers, curve_report, hecke_scalars,
 from .rowspan import CurveParams, Summand, summands
 from .surface import (build_surface, cylinder_preservation_check, fixed_edges,
                       lift_class_count, lift_sigma2, lift_sigma4,
-                      surface_genus)
+                      sigma4_variants, surface_genus)
 from .verify import run_suite, valid_pairs
 
 SCHEMA = "vwbm-report/1"
@@ -108,7 +109,7 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _csv_out(rows: list[dict], header: list[str]) -> None:
+def _csv_out(rows: Iterable[dict], header: list[str]) -> None:
     import csv  # imported here, so only csv output pays for loading it
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
@@ -184,16 +185,19 @@ def cmd_table(args) -> int:
              for n, m in valid_pairs(max(args.nmax, args.mmax))
              if n <= args.nmax and m <= args.mmax]
     if args.format == "json":
-        payload = []
+        # the bytes of json.dumps(payload, indent=2), one element at a time
+        opened = False
         for params in pairs:
             rows = [_summand_dict(s) for s in reversed(summands(params))]
-            payload.append({"params": [params.n, params.m],
-                            "genus": len(rows), "rows": rows})
-        _emit_json(payload)
+            item = json.dumps({"params": [params.n, params.m],
+                               "genus": len(rows), "rows": rows}, indent=2)
+            sys.stdout.write((",\n  " if opened else "[\n  ")
+                             + item.replace("\n", "\n  "))
+            opened = True
+        print("\n]" if opened else "[]")
     elif args.format == "csv":
-        rows = []
-        for params in pairs:
-            rows.extend(_summand_rows(params, reverse=True))
+        rows = (row for params in pairs
+                for row in _summand_rows(params, reverse=True))
         _csv_out(rows, ["n", "m", "kappa", "mu", "nu", "lyapunov", "tiling"])
     else:
         for params in pairs:
@@ -308,9 +312,8 @@ def cmd_surface(args) -> int:
     params = CurveParams(args.n, args.m)
     surface = build_surface(params)
     lift2 = lift_sigma2(surface)
-    variant_ids = [1, 2] if params.n % 2 == 0 and params.m % 2 == 0 else [1]
     lifts4 = []
-    for v in variant_ids:
+    for v in sigma4_variants(params):
         lift4 = lift_sigma4(surface, v)
         lifts4.append({
             "variant": v,
@@ -336,14 +339,9 @@ def cmd_surface(args) -> int:
     if args.format == "json":
         _emit_json(payload)
     elif args.format == "csv":
-        _csv_out([{
-            "n": params.n, "m": params.m,
-            "column_span_order": payload["column_span_order"],
-            "square_count": payload["square_count"],
-            "surface_genus": payload["surface_genus"],
-            "lift_classes": payload["lift_classes"],
-        }], ["n", "m", "column_span_order", "square_count", "surface_genus",
-             "lift_classes"])
+        _csv_out([{"n": params.n, "m": params.m, **payload}],
+                 ["n", "m", "column_span_order", "square_count",
+                  "surface_genus", "lift_classes"])
     else:
         print(f"S({params.n},{params.m}): deck group of order "
               f"{payload['column_span_order']}, {payload['square_count']} "

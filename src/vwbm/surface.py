@@ -184,26 +184,27 @@ def lift_sigma2(surface: CombSurface) -> SymmetryLift:
     return SymmetryLift(surface, "sigma2", None, ((0, 0), (0, 0)))
 
 
+def sigma4_variants(params: CurveParams) -> tuple[int, ...]:
+    """The sigma4 lift variants, one per deck-conjugacy class: 1, and 2
+    when n and m are both even."""
+    return (1, 2) if params.n % 2 == 0 and params.m % 2 == 0 else (1,)
+
+
 def lift_sigma4(surface: CombSurface, variant: int = 1) -> SymmetryLift:
     """An explicit fixed-point lift of sigma_4; see the module docstring.
 
     The shifts of the docstring formulas are columns of the defining
     matrix mod N: (col_4, col_3) for variant 1 and (col_1, col_2) for
-    variant 2, so they lie in the deck group.  Variant 2 exists as a
-    separate conjugacy class only when n and m are both even and is
-    rejected otherwise.
+    variant 2, so they lie in the deck group.  A variant outside
+    ``sigma4_variants`` is rejected.
     """
-    params = surface.params
-    c1, c2, c3, c4 = surface.span.columns
-    if variant == 1:
-        shifts = (c4, c3)
-    elif variant == 2:
-        if params.n % 2 or params.m % 2:
-            raise ValueError(
-                "variant 2 is a distinct lift only when n and m are both even")
-        shifts = (c1, c2)
-    else:
+    if variant not in (1, 2):
         raise ValueError("variant must be 1 or 2")
+    if variant not in sigma4_variants(surface.params):
+        raise ValueError(
+            "variant 2 is a distinct lift only when n and m are both even")
+    c1, c2, c3, c4 = surface.span.columns
+    shifts = (c4, c3) if variant == 1 else (c1, c2)
     return SymmetryLift(surface, "sigma4", variant, shifts)
 
 

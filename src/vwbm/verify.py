@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 from . import generators as gens
@@ -28,7 +28,7 @@ from .rowspan import (CurveParams, _matrix_rows, klein_orbits, row_span,
 from .surface import (build_surface, commute_check,
                       cylinder_preservation_check, has_fixed_edge,
                       intertwine_check, lift_class_count, lift_sigma2,
-                      lift_sigma4, surface_genus)
+                      lift_sigma4, sigma4_variants, surface_genus)
 
 
 class CheckResult(NamedTuple):
@@ -71,24 +71,47 @@ def _map_pairs(worker, pairs):
     return [worker(p) for p in pairs]
 
 
+class PairContext:
+    """A pair, its params, and what several of its checks read, each built
+    on first read and then kept; a build that raises keeps nothing."""
+
+    def __init__(self, pair: tuple[int, int]):
+        self.pair, self.params = pair, CurveParams(*pair)
+
+    @cached_property
+    def summands(self):
+        return summands(self.params)
+
+    @cached_property
+    def pieces(self) -> list[frozenset]:
+        """The Klein orbits of zero-free span elements, the nonzero pieces."""
+        return [orbit for orbit in klein_orbits(self.params)
+                if 0 not in next(iter(orbit))]
+
+    @cached_property
+    def surface(self):
+        return build_surface(self.params)
+
+
 class Check(NamedTuple):
-    """A named check and its per-pair worker, which returns a counterexample
-    or None.  Calling it with nmax sweeps it over ``valid_pairs(nmax)``."""
+    """A named check and its worker, which reads a pair's context and
+    returns a counterexample or None.  Calling it sweeps valid_pairs(nmax)."""
 
     name: str
-    worker: Callable[[tuple[int, int]], str | None]
+    worker: Callable[[PairContext], str | None]
 
     def __call__(self, nmax: int) -> CheckResult:
         return _sweep((self,), nmax)[0]
 
 
 def _pair_outcomes(checks, pair) -> tuple[str | None, ...]:
-    """Each check's counterexample at the pair; a check that raises fails
-    there, and the other checks of the pair still run."""
+    """Each check's counterexample at the pair, all read from one context;
+    a check that raises fails there, and the other checks still run."""
+    ctx = PairContext(pair)
     outcomes = []
     for check in checks:
         try:
-            outcomes.append(check.worker(pair))
+            outcomes.append(check.worker(ctx))
         except (ArithmeticError, AssertionError, ValueError) as exc:
             outcomes.append(
                 f"({pair[0]},{pair[1]}): {type(exc).__name__}: {exc}")
@@ -96,8 +119,8 @@ def _pair_outcomes(checks, pair) -> tuple[str | None, ...]:
 
 
 def _sweep(checks, nmax: int) -> list[CheckResult]:
-    """Run the checks pair by pair, so each pair's row span is built once;
-    each check keeps its first counterexample in pair order."""
+    """Run the checks pair by pair, so the checks of a pair share its
+    context; each check keeps its first counterexample in pair order."""
     pairs = valid_pairs(nmax)
     first = [None] * len(checks)
     for outcomes in _map_pairs(partial(_pair_outcomes, checks), pairs):
@@ -110,11 +133,10 @@ def _sweep(checks, nmax: int) -> list[CheckResult]:
 # row span
 # ---------------------------------------------------------------------------
 
-def _rowspan_pair(pair) -> str | None:
-    n, m = pair
-    params = CurveParams(n, m)
-    N = params.N
-    span = row_span(params)
+def _rowspan_pair(ctx: PairContext) -> str | None:
+    n, m = ctx.pair
+    N = ctx.params.N
+    span = row_span(ctx.params)
     # row_span is read off the deck group; the oracle closes the two rows
     # in (Z/NZ)^4
     if span != span_closure(_matrix_rows(n, m), N):
@@ -135,24 +157,16 @@ def _rowspan_pair(pair) -> str | None:
 check_rowspan_identities = Check("row-span t identities", _rowspan_pair)
 
 
-def _piece_orbits(params: CurveParams) -> list[frozenset]:
-    """The Klein orbits of zero-free span elements, the nonzero pieces."""
-    return [orbit for orbit in klein_orbits(params)
-            if 0 not in next(iter(orbit))]
-
-
-def _klein_pair(pair) -> str | None:
-    n, m = pair
-    params = CurveParams(n, m)
+def _klein_pair(ctx: PairContext) -> str | None:
+    n, m = ctx.pair
     nm = n * m
-    pieces = _piece_orbits(params)
     # t_1 > max(t_2, t_3, t_4) picks the member of a free orbit that leads
     # with its strict maximum entry: the orbit's lex maximum, one per orbit
-    selected = sorted(max(orbit) for orbit in pieces if len(orbit) == 4)
-    if sorted(s.vector for s in summands(params)) != selected:
+    selected = sorted(max(orbit) for orbit in ctx.pieces if len(orbit) == 4)
+    if sorted(s.vector for s in ctx.summands) != selected:
         return f"({n},{m}): summands differ from the t-value selection"
     # nonzero sigma3-fixed vectors without zero entries must be all-nm
-    for orbit in pieces:
+    for orbit in ctx.pieces:
         for e in orbit:
             if e[0] == e[2] and e[1] == e[3] and e != (nm, nm, nm, nm):
                 return f"({n},{m}): unexpected sigma3-fixed vector {e}"
@@ -166,19 +180,17 @@ check_klein_orbits = Check("Klein orbit selection", _klein_pair)
 # genus
 # ---------------------------------------------------------------------------
 
-def _genus_pair(pair) -> str | None:
-    n, m = pair
-    params = CurveParams(n, m)
-    closed = inv.genus(params)
-    count = len(summands(params))
-    pieces = _piece_orbits(params)
-    orbit_genus = sum(len(orbit) == 4 for orbit in pieces)
+def _genus_pair(ctx: PairContext) -> str | None:
+    n, m = ctx.pair
+    closed = inv.genus(ctx.params)
+    count = len(ctx.summands)
+    orbit_genus = sum(len(orbit) == 4 for orbit in ctx.pieces)
     if not closed == count == orbit_genus:
         return (f"({n},{m}): genus closed={closed} summands={count} "
                 f"orbit={orbit_genus}")
     # every zero-free span element carries a rank-two piece
-    zero_free = sum(map(len, pieces))
-    cover_genus = surface_genus(build_surface(params))
+    zero_free = sum(map(len, ctx.pieces))
+    cover_genus = surface_genus(ctx.surface)
     if zero_free != cover_genus:
         return (f"({n},{m}): {zero_free} zero-free span elements vs "
                 f"S-genus {cover_genus}")
@@ -192,9 +204,9 @@ check_genus_agreement = Check("genus triple agreement", _genus_pair)
 # trace fields
 # ---------------------------------------------------------------------------
 
-def _trace_pair(pair) -> str | None:
-    n, m = pair
-    params = CurveParams(n, m)
+def _trace_pair(ctx: PairContext) -> str | None:
+    n, m = ctx.pair
+    params = ctx.params
     closed = inv.trace_degrees(params)
     oracle = inv.trace_degrees_oracle(params)
     if closed != oracle:
@@ -217,14 +229,13 @@ def _trace_pair(pair) -> str | None:
 check_trace_fields = Check("trace degrees formula vs oracle", _trace_pair)
 
 
-def _primitivity_pair(pair) -> str | None:
-    n, m = pair
-    params = CurveParams(n, m)
-    verdict = inv.algebraically_primitive(params)  # raises on disagreement
-    if verdict.applicable == inv.is_arithmetic(params):
+def _primitivity_pair(ctx: PairContext) -> str | None:
+    n, m = ctx.pair
+    verdict = inv.algebraically_primitive(ctx.params)  # raises on disagreement
+    if verdict.applicable == inv.is_arithmetic(ctx.params):
         return f"({n},{m}): applicability flag wrong"
     if verdict.applicable and verdict.primitive != (
-            inv.trace_degrees(params)[1] == inv.genus(params)):
+            inv.trace_degrees(ctx.params)[1] == inv.genus(ctx.params)):
         return f"({n},{m}): primitivity verdict inconsistent"
     return None
 
@@ -237,9 +248,9 @@ check_primitivity = Check(
 # covers
 # ---------------------------------------------------------------------------
 
-def _covers_pair(pair) -> str | None:
-    n, m = pair
-    big = CurveParams(n, m)
+def _covers_pair(ctx: PairContext) -> str | None:
+    n, m = ctx.pair
+    big = ctx.params
     certified = set()
     for np_ in range(2, n + 1):
         if n % np_:
@@ -269,14 +280,12 @@ check_covers = Check("covering criterion vs containment oracle", _covers_pair)
 # square-tiled lifts
 # ---------------------------------------------------------------------------
 
-def _lift_pair(pair) -> str | None:
-    n, m = pair
-    params = CurveParams(n, m)
-    surface = build_surface(params)
+def _lift_pair(ctx: PairContext) -> str | None:
+    n, m = ctx.pair
+    surface = ctx.surface
     lift2 = lift_sigma2(surface)
-    variants = [lift_sigma4(surface, 1)]
-    if n % 2 == 0 and m % 2 == 0:
-        variants.append(lift_sigma4(surface, 2))
+    variants = [lift_sigma4(surface, v)
+                for v in sigma4_variants(ctx.params)]
     if not lift2.is_involution():
         return f"({n},{m}): sigma2 lift is not an involution"
     if not has_fixed_edge(surface, lift2):
@@ -300,10 +309,9 @@ def _lift_pair(pair) -> str | None:
         vert = cylinder_preservation_check(surface, lift4)
         if not vert.ok:
             return f"({n},{m}): {tag} {vert.detail}"
-    want = 2 if (n % 2 == 0 and m % 2 == 0) else 1
     got = lift_class_count(surface).classes
-    if got != want:
-        return f"({n},{m}): {got} lift classes, expected {want}"
+    if got != len(variants):
+        return f"({n},{m}): {got} lift classes, expected {len(variants)}"
     return None
 
 
@@ -334,14 +342,13 @@ def _cosine_root_identity(q: IntPolynomial, m: int) -> bool:
     return lhs == IntPolynomial((1,) + (0,) * (m - 1) + (1,))
 
 
-def _generator_pair(pair) -> str | None:
-    n, m = pair
-    params = CurveParams(n, m)
-    eq = gens.generator_equation(params)
+def _generator_pair(ctx: PairContext) -> str | None:
+    n, m = ctx.pair
+    eq = gens.generator_equation(ctx.params)
     expected_deg = m if m % 2 else (n + m if n % 2 else (n + m) // 2)
     if eq.rhs.degree() != expected_deg:
         return f"({n},{m}): rhs degree {eq.rhs.degree()} != {expected_deg}"
-    check = gens.verify_equation_numeric(eq, params, 1e-9)
+    check = gens.verify_equation_numeric(eq, ctx.params, 1e-9)
     if not check.ok:
         return (f"({n},{m}): product form deviates by "
                 f"{check.max_relative_deviation:.3e}")
@@ -371,11 +378,10 @@ check_generators = Check(
 # spectrum laws and swap symmetry
 # ---------------------------------------------------------------------------
 
-def _spectrum_pair(pair) -> str | None:
-    n, m = pair
-    params = CurveParams(n, m)
-    sums = summands(params)
-    N, chi, g = params.N, n * m - n - m, params.gamma
+def _spectrum_pair(ctx: PairContext) -> str | None:
+    n, m = ctx.pair
+    sums = ctx.summands
+    N, chi, g = ctx.params.N, n * m - n - m, ctx.params.gamma
     prev = None
     for s in sums:
         # the printed fractions are read off the vector (a, b, ., .):
@@ -410,7 +416,7 @@ def _spectrum_pair(pair) -> str | None:
     if len(flagged) != sum(1 for s in sums if s.tiling):
         return f"({n},{m}): repeated flagged triple"
     targets = {(Fraction(0), Fraction(1, c.m), Fraction(1, c.n))
-               for c in inv.covers(params)}
+               for c in inv.covers(ctx.params)}
     targets.add((Fraction(0), Fraction(1, m), Fraction(1, n)))
     if flagged != targets:
         return f"({n},{m}): flagged triples {flagged} != covers {targets}"
@@ -421,11 +427,11 @@ check_spectrum_laws = Check(
     "spectrum laws and tiling correspondence", _spectrum_pair)
 
 
-def _swap_pair(pair) -> str | None:
-    n, m = pair
+def _swap_pair(ctx: PairContext) -> str | None:
+    n, m = ctx.pair
     if n > m:
         return None  # each unordered pair once
-    a, b = CurveParams(n, m), CurveParams(m, n)
+    a, b = ctx.params, CurveParams(m, n)
     if inv.genus(a) != inv.genus(b):
         return f"({n},{m}): genus changes under swap"
     if sorted(inv.lyapunov_spectrum(a)) != sorted(inv.lyapunov_spectrum(b)):

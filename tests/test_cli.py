@@ -5,7 +5,10 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from vwbm.cli import main
+import pytest
+
+from vwbm.cli import _summand_dict, main
+from vwbm.rowspan import CurveParams, summands
 from vwbm.verify import valid_pairs
 
 
@@ -85,6 +88,42 @@ def test_table_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "table", "4", "6", "--format", "json")
     _, second, _ = run(capsys, "table", "4", "6", "--format", "json")
     assert first == second
+
+
+def test_table_json_streams_the_bytes_of_one_dump(capsys):
+    # table writes one element at a time; the bytes are those of a single
+    # json.dumps of the whole payload, the empty grid included
+    for nmax, mmax in ((1, 1), (3, 2), (7, 9)):
+        payload = []
+        for n, m in valid_pairs(max(nmax, mmax)):
+            if n <= nmax and m <= mmax:
+                rows = [_summand_dict(s)
+                        for s in reversed(summands(CurveParams(n, m)))]
+                payload.append({"params": [n, m], "genus": len(rows),
+                                "rows": rows})
+        code, out, _ = run(capsys, "table", str(nmax), str(mmax),
+                           "--format", "json")
+        assert code == 0
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+def test_table_writes_each_pair_before_the_next(monkeypatch, fmt):
+    # memory stays at one pair's rows: each pair's rows are written before
+    # the next pair's summands are built
+    from vwbm import cli
+    out = io.StringIO()
+    written = []
+
+    def recording(params):
+        written.append(len(out.getvalue()))
+        return summands(params)
+
+    monkeypatch.setattr(cli, "summands", recording)
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["table", "4", "5", "--format", fmt]) == 0
+    assert len(written) == sum(n <= 4 for n, _ in valid_pairs(5))
+    assert all(a < b for a, b in zip(written, written[1:]))
 
 
 # ---------------------------------------------------------------------------

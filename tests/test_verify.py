@@ -154,6 +154,50 @@ def test_genus_level_enumerates_each_deck_group_once(monkeypatch):
     assert misses == len(valid_pairs(10))
 
 
+def test_all_levels_build_each_shared_object_once_per_pair(monkeypatch):
+    # the checks of a pair read one context, so the summands, the Klein
+    # orbits and the surface are each built once per pair, not once per
+    # check that reads them
+    from vwbm import verify
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    seen = {}
+
+    def counting(name, real):
+        def build(params):
+            seen.setdefault(name, []).append((params.n, params.m))
+            return real(params)
+        return build
+
+    for name in ("summands", "klein_orbits", "build_surface"):
+        monkeypatch.setattr(verify, name,
+                            counting(name, getattr(verify, name)))
+    assert all(r.passed for r in run_suite(10, "all"))
+    assert set(seen) == {"summands", "klein_orbits", "build_surface"}
+    for pairs in seen.values():
+        assert pairs == valid_pairs(10)
+
+
+def test_a_failed_shared_build_fails_each_check_that_reads_it(monkeypatch):
+    # a build that raises is not kept: each check that reads it builds it
+    # again and fails at the pair, and the other checks still pass
+    from vwbm import verify
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    calls = []
+
+    def no_summands(params):
+        calls.append((params.n, params.m))
+        raise ValueError("no summands")
+
+    monkeypatch.setattr(verify, "summands", no_summands)
+    results = run_suite(4, "all")
+    assert len(results) == 10
+    readers = ("Klein orbit selection", "genus triple agreement",
+               "spectrum laws and tiling correspondence")
+    assert {r.name: r.detail for r in results if not r.passed} == {
+        name: "(2,3): ValueError: no summands" for name in readers}
+    assert len(calls) == len(readers) * len(valid_pairs(4))
+
+
 def test_verify_refuses_an_unmeasured_nmax(monkeypatch, capsys):
     def no_sweep(*args):
         raise AssertionError("a check worker ran")
@@ -166,15 +210,15 @@ def test_verify_refuses_an_unmeasured_nmax(monkeypatch, capsys):
         run_suite(VERIFY_NMAX_MAX + 1, "rowspan")
 
 
-def _fails_on_odd_sum(pair):
-    return f"odd sum at {pair}" if sum(pair) % 2 else None
+def _fails_on_odd_sum(ctx):
+    return f"odd sum at {ctx.pair}" if sum(ctx.pair) % 2 else None
 
 
-def _fails_on_square(pair):
-    return f"square at {pair}" if pair[0] == pair[1] else None
+def _fails_on_square(ctx):
+    return f"square at {ctx.pair}" if ctx.pair[0] == ctx.pair[1] else None
 
 
-def _never_fails(pair):
+def _never_fails(ctx):
     return None
 
 
