@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import gcd
 from typing import Iterable
 
 from . import __version__
@@ -34,14 +35,17 @@ SCHEMA = "vwbm-report/1"
 FORMATS = ("json", "csv", "md")
 
 
+def _ratio(p: int, q: int) -> str:
+    """p/q reduced, as str(Fraction(p, q)) prints it, for p >= 0, q > 0."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
 def _summand_dict(s: Summand) -> dict:
-    return {
-        "kappa": str(s.kappa),
-        "mu": str(s.mu),
-        "nu": str(s.nu),
-        "lyapunov": str(s.lyapunov),
-        "tiling": s.tiling,
-    }
+    n, m, k, j = s
+    return {"kappa": "0", "mu": _ratio(k, m), "nu": _ratio(j, n),
+            "lyapunov": _ratio(n * m - n * k - m * j, n * m - n - m),
+            "tiling": s.tiling}
 
 
 def _params_dict(params: CurveParams) -> dict:
@@ -77,12 +81,13 @@ def _generator_dict(params: CurveParams) -> dict:
 
 def _report_dict(report: CurveReport) -> dict:
     v = report.primitivity
+    rows = [_summand_dict(s) for s in report.summand_list]
     return {
         "schema": SCHEMA,
         "params": _params_dict(report.params),
         "genus": report.genus,
-        "spectrum": [str(x) for x in report.spectrum],
-        "summands": [_summand_dict(s) for s in report.summand_list],
+        "spectrum": [row["lyapunov"] for row in rows],
+        "summands": rows,
         "arithmetic": report.arithmetic,
         "uniformizer": report.uniformizer.label(),
         "zeros": {"count": report.zeros[0], "equal_order": report.zeros[1]},
@@ -119,18 +124,16 @@ def _csv_out(rows: Iterable[dict], header: list[str]) -> None:
 
 def _summand_rows(params: CurveParams, reverse: bool) -> list[dict]:
     ordered = summands(params)
-    if reverse:
-        ordered = reversed(ordered)
     return [{"n": params.n, "m": params.m, **_summand_dict(s)}
-            for s in ordered]
+            for s in (reversed(ordered) if reverse else ordered)]
 
 
 def _md_table(params: CurveParams) -> str:
     lines = [f"### T({params.n},{params.m})", "",
              "| (kappa, mu, nu) | exponent |", "| --- | --- |"]
     for s in reversed(summands(params)):
-        triple = f"({s.kappa}, {s.mu}, {s.nu})"
-        lam = str(s.lyapunov)
+        row = _summand_dict(s)
+        triple, lam = "({kappa}, {mu}, {nu})".format(**row), row["lyapunov"]
         if s.tiling:
             triple, lam = f"**{triple}**", f"**{lam}**"
         lines.append(f"| {triple} | {lam} |")
@@ -207,7 +210,7 @@ def cmd_table(args) -> int:
 
 def cmd_spectrum(args) -> int:
     params = CurveParams(args.n, args.m)
-    values = [str(s.lyapunov) for s in summands(params)]
+    values = [_summand_dict(s)["lyapunov"] for s in summands(params)]
     if args.format == "json":
         _emit_json({"params": _params_dict(params), "spectrum": values})
     elif args.format == "csv":

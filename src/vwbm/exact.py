@@ -2,7 +2,7 @@ r"""Exact arithmetic substrate: integer polynomials and cyclotomic numbers.
 
 Conventions used throughout the package:
 
-* rationals are ``fractions.Fraction`` (stored reduced, denominator > 0);
+* rationals are kept as integers and formed only when read or printed;
 * an integer polynomial is an :class:`IntPolynomial`, a tuple of ``int``
   coefficients in ascending degree with no trailing zeros; the zero
   polynomial has an empty coefficient tuple; it has ring operations,

@@ -304,7 +304,6 @@ def algebraically_primitive(params: CurveParams) -> PrimitivityVerdict:
 class CurveReport(NamedTuple):
     params: CurveParams
     genus: int
-    spectrum: tuple[Fraction, ...]
     summand_list: tuple[Summand, ...]
     arithmetic: bool
     uniformizer: Uniformizer
@@ -322,7 +321,6 @@ class CurveReport(NamedTuple):
 def curve_report(params: CurveParams) -> CurveReport:
     """Compute every invariant of T(n, m) and bundle it into one report."""
     cls = classify(params)
-    sums = summands(params)
     deg_f, deg_e = trace_degrees(params)
     hecke = hecke_scalars(params)
     notes = [f"T({params.n},{params.m}) = T({params.m},{params.n})"]
@@ -339,8 +337,7 @@ def curve_report(params: CurveParams) -> CurveReport:
     return CurveReport(
         params=params,
         genus=genus(params),
-        spectrum=tuple(s.lyapunov for s in sums),
-        summand_list=sums,
+        summand_list=summands(params),
         arithmetic=cls.arithmetic,
         uniformizer=cls.uniformizer,
         zeros=(cls.zero_count, cls.zeros_equal_order),

@@ -17,9 +17,7 @@ pieces: a piece is nonzero exactly when t(r) = 2 = t(-r), which holds on
 every zero-free r = (a, b, N - a, N - b); the Klein four group permutes
 pieces by coordinate swaps, and t_1(r) > max(t_2, t_3, t_4) selects one per
 size-four orbit.  ``verify`` keeps that selection over G as its oracle;
-``summands`` reads the selected pieces off their closed form, one per
-lattice point (k, j), each with a hyperbolic triangle of angles
-(0, k/m, j/n) in units of pi and a Lyapunov exponent.
+``summands`` lists the selected pieces as their lattice points (k, j).
 """
 from __future__ import annotations
 
@@ -27,7 +25,6 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import NamedTuple
 
 KLEIN_ELEMENTS = ("id", "sigma2", "sigma3", "sigma4")
 
@@ -70,25 +67,32 @@ class CurveParams(namedtuple("CurveParams", "n m")):
         return lcm(self.n, self.m)
 
 
-class Summand(NamedTuple):
-    """A selected row vector with its triangle angles and Lyapunov exponent.
+class Summand(namedtuple("Summand", "n m k j")):
+    """The selected piece of T(n, m) at the lattice point (k, j), as ints.
 
-    ``vector`` has canonical entries in [0, N).  Angles are in units of pi;
-    kappa is always 0, mu has denominator dividing m and nu has denominator
-    dividing n.  ``tiling`` is set when mu and nu are both unit fractions,
-    i.e. when the (kappa, mu, nu) triangle tiles the hyperbolic plane.
+    Its angles (kappa, mu, nu) = (0, k/m, j/n), in units of pi, and its
+    exponent are formed as fractions only when read.  ``tiling`` is set when
+    mu and nu are unit fractions, i.e. when it tiles the hyperbolic plane.
     """
 
-    vector: Vector
-    kappa: Fraction
-    mu: Fraction
-    nu: Fraction
-    lyapunov: Fraction
-    tiling: bool
+    __slots__ = ()
 
     @property
-    def angles(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.kappa, self.mu, self.nu)
+    def vector(self) -> Vector:
+        n, m, k, j = self
+        nm, w = n * m, n * k + m * j
+        return (nm + w, nm - n * k + m * j, nm - w, nm + n * k - m * j)
+
+    kappa = property(lambda self: Fraction(0))
+    mu = property(lambda self: Fraction(self.k, self.m))
+    nu = property(lambda self: Fraction(self.j, self.n))
+    angles = property(lambda self: (self.kappa, self.mu, self.nu))
+    tiling = property(lambda self: self.m % self.k == 0 == self.n % self.j)
+
+    @property
+    def lyapunov(self) -> Fraction:
+        n, m, k, j = self
+        return Fraction(n * m - n * k - m * j, n * m - n - m)
 
 
 def _matrix_rows(n: int, m: int) -> tuple[Vector, Vector]:
@@ -158,11 +162,11 @@ def klein_orbit(r: Vector) -> frozenset[Vector]:
     return frozenset(klein_action(r, e) for e in KLEIN_ELEMENTS)
 
 
-def klein_orbits(params: CurveParams) -> list[frozenset[Vector]]:
-    """The Klein orbits of the nonzero row-span elements."""
+def klein_orbits(span: tuple[Vector, ...]) -> list[frozenset[Vector]]:
+    """The Klein orbits of the nonzero elements of a row span."""
     seen: set[Vector] = set()
     orbits = []
-    for r in row_span(params):
+    for r in span:
         if not any(r) or r in seen:
             continue
         orbit = klein_orbit(r)
@@ -175,10 +179,9 @@ def summands(params: CurveParams) -> tuple[Summand, ...]:
     """The selected summands of S(n, m), in canonical order.
 
     One per lattice point (k, j), 1 <= k < m, 1 <= j < n, nk + mj < nm, with
-    k = j mod 2 when n and m are both even: the vector r = (nm + nk + mj,
-    nm - nk + mj, nm - nk - mj, nm + nk - mj), angles (0, k/m, j/n) and
-    Lyapunov exponent (nm - nk - mj) / (nm - n - m).  ``verify`` checks them
-    against the t-value selection over the row span.
+    k = j mod 2 when n and m are both even; its Lyapunov exponent is
+    (nm - nk - mj) / (nm - n - m).  ``verify`` checks them against the
+    t-value selection over the row span.
 
     Canonical order: descending exponent, then lexicographic (mu, nu), i.e.
     ascending (nk + mj, k).  The count of summands is the genus of T(n, m).
@@ -186,11 +189,7 @@ def summands(params: CurveParams) -> tuple[Summand, ...]:
     n, m = params.n, params.m
     nm = n * m
     both_even = n % 2 == 0 and m % 2 == 0
-    points = sorted((n * k + m * j, k, j) for k in range(1, m)
-                    for j in range(1, (nm - n * k - 1) // m + 1)
-                    if not both_even or (k - j) % 2 == 0)
-    return tuple(
-        Summand((nm + w, nm - n * k + m * j, nm - w, nm + n * k - m * j),
-                Fraction(0), Fraction(k, m), Fraction(j, n),
-                Fraction(nm - w, nm - n - m), m % k == 0 and n % j == 0)
-        for w, k, j in points)
+    return tuple(Summand(n, m, k, j) for _, k, j in sorted(
+        (n * k + m * j, k, j) for k in range(1, m)
+        for j in range(1, (nm - n * k - 1) // m + 1)
+        if not both_even or (k - j) % 2 == 0))

@@ -16,7 +16,6 @@ pool never gets more workers than there are CPUs or pairs to check.
 from __future__ import annotations
 
 import os
-from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
@@ -83,9 +82,13 @@ class PairContext:
         return summands(self.params)
 
     @cached_property
+    def span(self):
+        return row_span(self.params)
+
+    @cached_property
     def pieces(self) -> list[frozenset]:
         """The Klein orbits of zero-free span elements, the nonzero pieces."""
-        return [orbit for orbit in klein_orbits(self.params)
+        return [orbit for orbit in klein_orbits(self.span)
                 if 0 not in next(iter(orbit))]
 
     @cached_property
@@ -135,8 +138,7 @@ def _sweep(checks, nmax: int) -> list[CheckResult]:
 
 def _rowspan_pair(ctx: PairContext) -> str | None:
     n, m = ctx.pair
-    N = ctx.params.N
-    span = row_span(ctx.params)
+    N, span = ctx.params.N, ctx.span
     # row_span is read off the deck group; the oracle closes the two rows
     # in (Z/NZ)^4
     if span != span_closure(_matrix_rows(n, m), N):
@@ -381,45 +383,44 @@ check_generators = Check(
 def _spectrum_pair(ctx: PairContext) -> str | None:
     n, m = ctx.pair
     sums = ctx.summands
-    N, chi, g = ctx.params.N, n * m - n - m, ctx.params.gamma
+    nm, N, g, chi = n * m, ctx.params.N, ctx.params.gamma, n * m - n - m
     prev = None
     for s in sums:
-        # the printed fractions are read off the vector (a, b, ., .):
-        # mu N = a - b, nu N = a + b - N and lambda chi = min r
-        a, b = s.vector[:2]
-        mu_n, nu_n, low = a - b, a + b - N, min(s.vector)
-        if (s.mu.numerator * N != mu_n * s.mu.denominator
-                or s.nu.numerator * N != nu_n * s.nu.denominator
-                or s.lyapunov.numerator * chi != low * s.lyapunov.denominator):
-            return f"({n},{m}): mu, nu, lambda do not match {s.vector}"
+        # the printed mu = k/m, nu = j/n and lambda = (nm - nk - mj)/chi,
+        # read off r: mu N = a - b, nu N = a + b - N and lambda chi = min r
+        a, b, c, d = r = s.vector
+        mu_n, nu_n, low = a - b, a + b - N, min(r)
+        if (mu_n != 2 * n * s.k or nu_n != 2 * m * s.j
+                or low != nm - n * s.k - m * s.j):
+            return f"({n},{m}): mu, nu, lambda do not match {r}"
         # so (-min r, a - b) is the printed order: descending exponent, then
         # mu; nu is then fixed by the area-defect law below
         if prev is not None and (-low, mu_n) <= prev:
-            return f"({n},{m}): summands out of canonical order at {s.angles}"
+            return f"({n},{m}): summands out of canonical order at {r}"
         prev = (-low, mu_n)
         if not 0 < low <= chi:
-            return f"({n},{m}): exponent {s.lyapunov} outside (0, 1]"
+            return f"({n},{m}): exponent {low}/{chi} outside (0, 1]"
         if low % g:
-            return f"({n},{m}): {s.lyapunov} is not a multiple of {g}/{chi}"
-        if s.kappa != 0 or not (0 < mu_n < N) or not (0 < nu_n < N):
-            return f"({n},{m}): bad angle triple {s.angles}"
+            return f"({n},{m}): {low}/{chi} is not a multiple of {g}/{chi}"
+        # kappa N = |a + c - N| = |b + d - N|: a cusp, so kappa = 0
+        if a + c != N or b + d != N or not (0 < mu_n < N and 0 < nu_n < N):
+            return f"({n},{m}): bad angle triple at {r}"
         if mu_n % (2 * n) or nu_n % (2 * m):
             return f"({n},{m}): angle denominators escape 1/m, 1/n lattices"
         # the area-defect law lambda = (1 - mu - nu) / (1 - 1/n - 1/m),
         # multiplied by N chi / nm
         if 2 * low != N - mu_n - nu_n:
-            return f"({n},{m}): area-defect law fails at {s.angles}"
+            return f"({n},{m}): area-defect law fails at {r}"
     top = sums[0]
-    if top.lyapunov != 1 or top.angles != (0, Fraction(1, m), Fraction(1, n)):
+    if (top.k, top.j) != (1, 1) or min(top.vector) != chi:
         return f"({n},{m}): top exponent is not 1 at (0, 1/m, 1/n)"
-    flagged = {(s.kappa, s.mu, s.nu) for s in sums if s.tiling}
+    # a tiling triangle (0, 1/m', 1/n') is the lattice point (m/m', n/n')
+    flagged = {(s.k, s.j) for s in sums if s.tiling}
     if len(flagged) != sum(1 for s in sums if s.tiling):
         return f"({n},{m}): repeated flagged triple"
-    targets = {(Fraction(0), Fraction(1, c.m), Fraction(1, c.n))
-               for c in inv.covers(ctx.params)}
-    targets.add((Fraction(0), Fraction(1, m), Fraction(1, n)))
+    targets = {(m // c.m, n // c.n) for c in inv.covers(ctx.params)} | {(1, 1)}
     if flagged != targets:
-        return f"({n},{m}): flagged triples {flagged} != covers {targets}"
+        return f"({n},{m}): flagged points {flagged} != covers {targets}"
     return None
 
 

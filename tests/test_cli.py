@@ -6,8 +6,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from vwbm.cli import _summand_dict, main
+from vwbm.cli import FORMATS, _ratio, _summand_dict, main
 from vwbm.rowspan import CurveParams, summands
 from vwbm.verify import valid_pairs
 
@@ -278,6 +280,35 @@ def test_report_commands_build_no_deck_group(capsys):
         assert main(argv) == 0
     capsys.readouterr()
     assert rowspan._span_entries.cache_info().misses == 0
+
+
+def test_report_commands_form_no_fraction(capsys, monkeypatch):
+    # a summand is its lattice point (n, m, k, j), and the cli prints its
+    # angles and exponent from those ints
+    from vwbm import invariants, rowspan
+    commands = ([("info", "12", "8", "--format", f) for f in FORMATS]
+                + [("spectrum", "6", "10")]
+                + [("table", "7", "9", "--format", f) for f in FORMATS])
+    expected = [run(capsys, *argv) for argv in commands]
+
+    def no_fraction(*args):
+        raise AssertionError("a report command formed a Fraction")
+
+    monkeypatch.setattr(rowspan, "Fraction", no_fraction)
+    monkeypatch.setattr(invariants, "Fraction", no_fraction)
+    assert [run(capsys, *argv) for argv in commands] == expected
+    assert [code for code, _, _ in expected] == [0] * len(commands)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 12),
+       st.integers(min_value=1, max_value=10 ** 12))
+@example(0, 1)
+@example(0, 35)
+@example(12, 4)
+@example(7, 1)
+@example(35, 35)
+def test_ratio_prints_as_a_fraction(p, q):
+    assert _ratio(p, q) == str(Fraction(p, q))
 
 
 def test_user_commands_close_no_group(capsys, monkeypatch):

@@ -215,7 +215,8 @@ def test_primitive_power_of_two_and_twice_prime():
 def test_curve_report_2_7():
     report = curve_report(CurveParams(2, 7))
     assert report.genus == 3
-    assert sorted(report.spectrum) == [F(1, 5), F(3, 5), F(1)]
+    assert sorted(s.lyapunov for s in report.summand_list) == [
+        F(1, 5), F(3, 5), F(1)]
     assert not report.arithmetic
     assert report.primitivity.primitive
     assert report.trace_degree_E == report.hecke_field_degree == 3

@@ -171,17 +171,23 @@ def test_summand_order_is_canonical():
 def _selected_on_the_deck_group(n, m):
     """The t-value selection as a scan of G: t_1 > max(t_2, t_3, t_4) on
     r = (a, b, N - a, N - b) reads a > b, 2a > N, a + b > N, and the angles
-    and exponent are read off the t-values of r."""
+    mu = (a - b)/N = k/m and nu = (a + b - N)/N = j/n are read off the
+    t-values of r."""
     N = 2 * n * m
     out = []
     for a, b in _span_entries(n, m):
         if not (a > b and 2 * a > N and a + b > N):
             continue
-        mu, nu = F(a - b, N), F(a + b - N, N)
-        out.append(Summand(
-            (a, b, N - a, N - b), F(0), mu, nu,
-            F(min(a, b, N - a, N - b), n * m - n - m),
-            mu.numerator == 1 and nu.numerator == 1))
+        k, k_rem = divmod(a - b, 2 * n)
+        j, j_rem = divmod(a + b - N, 2 * m)
+        assert k_rem == j_rem == 0
+        s, r = Summand(n, m, k, j), (a, b, N - a, N - b)
+        # the properties read off (k, j) agree with the t-values of r
+        assert s.vector == r
+        assert s.angles == (0, F(a - b, N), F(a + b - N, N))
+        assert s.lyapunov == F(min(r), n * m - n - m)
+        assert s.tiling == (s.mu.numerator == 1 == s.nu.numerator)
+        out.append(s)
     out.sort(key=lambda s: (-s.lyapunov, s.mu, s.nu))
     return tuple(out)
 

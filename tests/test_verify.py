@@ -5,7 +5,7 @@ import pytest
 from vwbm.cli import main
 from vwbm.exact import IntPolynomial
 from vwbm.generators import generator_equation, verify_equation_numeric
-from vwbm.rowspan import CurveParams
+from vwbm.rowspan import CurveParams, row_span
 from vwbm.verify import (VERIFY_NMAX_MAX, Check, CheckResult,
                          _cosine_root_identity, _sweep, _thread_cap,
                          check_klein_orbits, check_rowspan_identities,
@@ -155,26 +155,30 @@ def test_genus_level_enumerates_each_deck_group_once(monkeypatch):
 
 
 def test_all_levels_build_each_shared_object_once_per_pair(monkeypatch):
-    # the checks of a pair read one context, so the summands, the Klein
-    # orbits and the surface are each built once per pair, not once per
-    # check that reads them
+    # the checks of a pair read one context, so the row span, the summands,
+    # the Klein orbits and the surface are each built once per pair, not
+    # once per check that reads them
     from vwbm import verify
     monkeypatch.setenv("VWBM_THREADS", "1")
+    names = ("row_span", "summands", "klein_orbits", "build_surface")
     seen = {}
 
     def counting(name, real):
-        def build(params):
-            seen.setdefault(name, []).append((params.n, params.m))
-            return real(params)
+        def build(arg):
+            seen.setdefault(name, []).append(arg)
+            return real(arg)
         return build
 
-    for name in ("summands", "klein_orbits", "build_surface"):
+    for name in names:
         monkeypatch.setattr(verify, name,
                             counting(name, getattr(verify, name)))
     assert all(r.passed for r in run_suite(10, "all"))
-    assert set(seen) == {"summands", "klein_orbits", "build_surface"}
-    for pairs in seen.values():
-        assert pairs == valid_pairs(10)
+    assert set(seen) == set(names)
+    pairs = valid_pairs(10)
+    for name in ("row_span", "summands", "build_surface"):
+        assert [(p.n, p.m) for p in seen[name]] == pairs
+    # the orbits are taken of the same span the rowspan level checks
+    assert seen["klein_orbits"] == [row_span(CurveParams(*p)) for p in pairs]
 
 
 def test_a_failed_shared_build_fails_each_check_that_reads_it(monkeypatch):
@@ -249,19 +253,24 @@ def test_trace_level_checks_the_hecke_degree_at_every_pair(monkeypatch):
 
 
 def test_selection_checks_pin_the_chosen_orbit_member(monkeypatch):
-    # the sigma2 image (b, a, N - b, N - a) of each summand still meets every
-    # free orbit once; both checks must see that it is not the one selected
+    # the sigma2 image (b, a, N - b, N - a) of each summand, the lattice
+    # point (-k, j), still meets every free orbit once; both checks must
+    # see that it is not the one selected
     from vwbm import rowspan, verify
     monkeypatch.setenv("VWBM_THREADS", "1")
+    params = CurveParams(5, 6)
+    for s in rowspan.summands(params):
+        assert (s._replace(k=-s.k).vector
+                == rowspan.klein_action(s.vector, "sigma2"))
 
     def sigma2_images(params):
-        return tuple(
-            s._replace(vector=rowspan.klein_action(s.vector, "sigma2"))
-            for s in rowspan.summands(params))
+        return tuple(s._replace(k=-s.k) for s in rowspan.summands(params))
 
     monkeypatch.setattr(verify, "summands", sigma2_images)
-    assert not check_klein_orbits(8).passed
-    assert not check_spectrum_laws(8).passed
+    klein, spectrum = check_klein_orbits(8), check_spectrum_laws(8)
+    assert not klein.passed and not spectrum.passed
+    assert klein.detail == "(2,3): summands differ from the t-value selection"
+    assert spectrum.detail.startswith("(2,3): mu, nu, lambda do not match")
 
 
 def test_spectrum_level_pins_the_printed_order(monkeypatch, capsys):
