@@ -328,7 +328,7 @@ def cmd_surface(args) -> int:
     payload = {
         "params": _params_dict(params),
         "column_span_order": len(surface.span.elements),
-        "square_count": len(surface.squares),
+        "square_count": 2 * len(surface.span.elements),
         "surface_genus": surface_genus(surface),
         "sigma2": {
             "involution": lift2.is_involution(),

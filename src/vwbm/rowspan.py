@@ -105,27 +105,30 @@ def _matrix_rows(n: int, m: int) -> tuple[Vector, Vector]:
 def span_closure(gens, modulus: int) -> tuple[tuple[int, ...], ...]:
     """The subgroup of (Z/modulus)^k generated by the given k-tuples, sorted.
 
-    Enumerated by breadth-first closure under generator addition.  The
-    subgroup has at most modulus^min(#gens, k) elements; exceeding that
-    bound raises.
+    Built one generator g at a time: for the least divisor c of the order of
+    g with c g in the span H so far, the span grows to H + {0, g, ..,
+    (c - 1) g}, formed coordinate by coordinate.  It has at most
+    modulus^min(#gens, k) elements; exceeding that bound raises.
     """
     gens = [tuple(v % modulus for v in g) for g in gens]
-    zero = (0,) * len(gens[0])
-    cap = modulus ** min(len(gens), len(zero))
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                cand = tuple([(a + b) % modulus for a, b in zip(e, g)])
-                if cand not in seen:
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-        if len(seen) > cap:
+    cap = modulus ** min(len(gens), len(gens[0]))
+    span = [(0,) * len(gens[0])]
+    for g in gens:
+        members = set(span)
+        order = lcm(*(modulus // gcd(v, modulus) for v in g))
+        index = next(c for c in range(1, order + 1) if order % c == 0
+                     and tuple(c * v % modulus for v in g) in members)
+        multiples = list(zip(*[[c * v % modulus for c in range(index)]
+                               for v in g]))
+        shifts, span = sorted((span, multiples), key=len)
+        if len(shifts) > 1:                # else shifts is the zero alone
+            columns = list(zip(*span))
+            span = [e for shift in shifts for e in zip(*[
+                [(x + t) % modulus for x in column]
+                for column, t in zip(columns, shift)])]
+        if len(span) > cap:
             raise AssertionError("span closure exceeded its bound")
-    return tuple(sorted(seen))
+    return tuple(sorted(span))
 
 
 @lru_cache(maxsize=64)
@@ -159,7 +162,8 @@ def klein_action(r: Vector, element: str) -> Vector:
 
 
 def klein_orbit(r: Vector) -> frozenset[Vector]:
-    return frozenset(klein_action(r, e) for e in KLEIN_ELEMENTS)
+    a, b, c, d = r                  # under id, sigma2, sigma3 and sigma4
+    return frozenset(((a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a)))
 
 
 def klein_orbits(span: tuple[Vector, ...]) -> list[frozenset[Vector]]:

@@ -108,7 +108,11 @@ class CombSurface(NamedTuple):
 
     params: CurveParams
     span: ColumnSpan
-    squares: tuple[Square, ...]
+
+    # listed on demand, never stored: a white and a black square per label
+    squares = property(lambda self: tuple(
+        Square(label, color) for label in self.span.elements
+        for color in (WHITE, BLACK)))
 
     # -- label arithmetic ---------------------------------------------------
 
@@ -134,13 +138,10 @@ class CombSurface(NamedTuple):
 
 
 def build_surface(params: CurveParams) -> CombSurface:
-    """Take the column span from the one enumeration of G; add the squares."""
+    """The surface over the one enumeration of G, with no square built."""
     columns = tuple(zip(*_matrix_rows(params.n, params.m)))
-    elements = _span_entries(params.n, params.m)
-    span = ColumnSpan(params.N, columns, elements)
-    squares = tuple(
-        Square(label, color) for label in elements for color in (WHITE, BLACK))
-    return CombSurface(params, span, squares)
+    span = ColumnSpan(params.N, columns, _span_entries(params.n, params.m))
+    return CombSurface(params, span)
 
 
 # Where affine identities are checked; see the module docstring.

@@ -327,3 +327,29 @@ def test_user_commands_close_no_group(capsys, monkeypatch):
     rowspan._span_entries.cache_clear()
     assert [run(capsys, *argv) for argv in commands] == expected
     assert [code for code, _, _ in expected] == [0] * len(commands)
+
+
+def test_surface_command_and_checks_build_no_squares(capsys, monkeypatch):
+    # the checks and the surface command read labels; the squares are
+    # listed only when the property is read
+    from vwbm import surface
+    from vwbm.rowspan import _span_entries
+    from vwbm.verify import run_suite
+    assert surface.CombSurface._fields == ("params", "span")
+    for n, m in ((2, 3), (4, 6), (5, 7)):
+        listed = surface.build_surface(CurveParams(n, m)).squares
+        assert listed == tuple(
+            surface.Square(label, color) for label in _span_entries(n, m)
+            for color in (surface.WHITE, surface.BLACK))
+    commands = (("surface", "12", "12"), ("surface", "4", "6", "--format", "md"))
+    expected = [run(capsys, *argv) for argv in commands]
+
+    def no_squares(self):
+        raise AssertionError("the squares were built")
+
+    monkeypatch.setattr(surface.CombSurface, "squares", property(no_squares))
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    assert all(r.passed for r in run_suite(10, "genus"))
+    assert all(r.passed for r in run_suite(8, "lifts"))
+    assert [run(capsys, *argv) for argv in commands] == expected
+    assert [code for code, _, _ in expected] == [0] * len(commands)

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from vwbm.rowspan import (CurveParams, Summand, _matrix_rows, _span_entries,
-                          klein_action, klein_orbit, row_span, span_closure,
-                          summands)
+from vwbm.rowspan import (KLEIN_ELEMENTS, CurveParams, Summand, _matrix_rows,
+                          _span_entries, klein_action, klein_orbit, row_span,
+                          span_closure, summands)
 from vwbm.verify import valid_pairs
 
 F = Fraction
@@ -86,6 +88,50 @@ def test_span_closure_any_tuple_length():
     assert span_closure(_matrix_rows(2, 7), 28) == row_span(CurveParams(2, 7))
 
 
+def _breadth_first_closure(gens, modulus):
+    """The reference enumeration: breadth-first closure under generator
+    addition, bounded like ``span_closure``."""
+    gens = [tuple(v % modulus for v in g) for g in gens]
+    zero = (0,) * len(gens[0])
+    cap = modulus ** min(len(gens), len(zero))
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                cand = tuple([(a + b) % modulus for a, b in zip(e, g)])
+                if cand not in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+        if len(seen) > cap:
+            raise AssertionError("span closure exceeded its bound")
+    return tuple(sorted(seen))
+
+
+@st.composite
+def _generator_sets(draw):
+    k, count = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    # the subgroup has at most modulus^min(count, k) elements; at most 30^3
+    # keeps each breadth-first reference run short
+    modulus = draw(st.integers(1, 30 if min(count, k) < 4 else 12))
+    entries = st.lists(st.integers(-60, 60), min_size=k, max_size=k)
+    gens = draw(st.lists(entries.map(tuple), min_size=count, max_size=count))
+    return gens, modulus
+
+
+@given(_generator_sets())
+@example(([(-3, 5)], 1))
+@example(([(1, 0), (0, 15)], 30))       # cosets larger than the new multiples
+@example(([(0, 15), (1, 0)], 30))       # new multiples larger than the cosets
+@example(([(2, 4), (-1, -2), (3, 0)], 6))
+@example((list(_matrix_rows(4, 6)), 48))
+def test_span_closure_matches_breadth_first_closure(case):
+    gens, modulus = case
+    assert span_closure(gens, modulus) == _breadth_first_closure(gens, modulus)
+
+
 @pytest.mark.parametrize("n,m", valid_pairs(16))
 def test_row_span_equals_closure_of_the_rows(n, m):
     # row_span is read off the deck group G in (Z/N)^2; the oracle closes
@@ -107,6 +153,23 @@ def test_klein_action_permutations():
     assert klein_action(s3, "sigma3") == klein_action(r, "id") == r
     with pytest.raises(ValueError):
         klein_action(r, "sigma5")
+
+
+def _orbit_by_table(r):
+    return frozenset(klein_action(r, e) for e in KLEIN_ELEMENTS)
+
+
+def test_klein_orbit_is_the_action_table_orbit_on_every_span():
+    for n, m in valid_pairs(16):
+        for r in row_span(CurveParams(n, m)):
+            assert klein_orbit(r) == _orbit_by_table(r)
+
+
+@given(st.tuples(*[st.integers(-3, 3)] * 4))
+@example((1, 1, 1, 1))
+@example((1, 2, 1, 2))
+def test_klein_orbit_is_the_action_table_orbit(r):
+    assert klein_orbit(r) == _orbit_by_table(r)
 
 
 def test_klein_orbit_sizes():

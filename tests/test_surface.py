@@ -212,7 +212,7 @@ def test_surface_genus_formula_unbranched_degenerate_case():
     # column orders 1 gives chi = 2, the sphere
     from vwbm.surface import ColumnSpan, CombSurface
     span = ColumnSpan(1, ((0, 0),) * 4, ((0, 0),))
-    surface = CombSurface(CurveParams(2, 3), span, ())
+    surface = CombSurface(CurveParams(2, 3), span)
     assert surface_genus(surface) == 0
 
 
