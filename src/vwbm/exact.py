@@ -342,38 +342,38 @@ def subfield_degree(K: int, generators: Sequence[Iterable[int]]) -> int:
 
     Each generator is a multiset of exponents e, standing for the element
     sum of zeta_K^e.  The degree is phi(K) divided by the size of the
-    pointwise Galois stabilizer H.  Every unit a mod K is scanned.  Its
-    sigma_a is first tested through the ring map zeta_K -> omega in F_p: a
-    generator whose image changes is moved by sigma_a, so a is not in H.
+    pointwise Galois stabilizer H.  Units a mod K are scanned, -1 first,
+    and sigma_a is first tested through the ring map zeta_K -> omega in F_p:
+    a generator whose image changes is moved by sigma_a, so a is not in H.
     A unit that passes is confirmed exactly, generator by generator: sigma_a
     fixes a root sum whose exponent multiset it permutes, and any other
-    root sum is compared on power-basis coordinates.  H is closed under
-    products, so no member of the subgroup the confirmed units generate is
-    tested twice.
+    root sum is compared on power-basis coordinates.  No unit is tested in
+    the subgroup S of H confirmed so far, nor in a coset rS of a rejected
+    unit r, since rs in H would put r in H.
     """
     gens = [tuple(sorted(e % K for e in g)) for g in generators]
     p, powers = _fp_root_powers(K)
     images = [sum(powers[e] for e in g) % p for g in gens]
-    coords = {}
 
     def fixes(a, g):
         image = tuple(sorted(a * e % K for e in g))
-        if image == g:
-            return True
-        if g not in coords:
-            coords[g] = _root_sum_vector(K, g)
-        return _root_sum_vector(K, image) == coords[g]
+        return (image == g
+                or _root_sum_vector(K, image) == _root_sum_vector(K, g))
 
     units = units_mod(K)
-    stab = {1}
-    for a in units:
-        if a in stab or any(sum(powers[a * e % K] for e in g) % p != v
-                            for g, v in zip(gens, images)):
+    stab, outside = {1}, set()
+    for a in units[-1:] + units[:-1]:  # units[-1] is -1 when K > 2
+        if a in stab or a in outside:
             continue
-        if all(fixes(a, g) for g in gens):
-            coset, power = set(stab), a
-            while power not in stab:
-                coset |= {power * h % K for h in stab}
-                power = power * a % K
-            stab = coset
+        if (any(sum(powers[a * e % K] for e in g) % p != v
+                for g, v in zip(gens, images))
+                or not all(fixes(a, g) for g in gens)):
+            outside.update(a * h % K for h in stab)
+            continue
+        coset, marked, power = set(stab), set(outside), a
+        while power not in stab:
+            coset |= {power * h % K for h in stab}
+            marked |= {power * o % K for o in outside}
+            power = power * a % K
+        stab, outside = coset, marked
     return len(units) // len(stab)

@@ -27,6 +27,7 @@ cross-check oracle.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple
 
 from .exact import IntPolynomial, chebyshev_c, poly_str
@@ -89,13 +90,14 @@ def generator_equation(params: CurveParams) -> GeneratorEquation:
                              U_MINUS_2 * q)
 
 
-def _cosine_factors(case: str, m: int) -> list[float]:
+@lru_cache(maxsize=128)
+def _cosine_factors(case: str, m: int) -> tuple[float, ...]:
     """Roots 2cos(.) of the square-free cosine product, as floats."""
     if case == CASE_M_ODD:
-        return [2.0 * math.cos(2.0 * math.pi * j / m)
-                for j in range(1, (m - 1) // 2 + 1)]
-    return [2.0 * math.cos(math.pi * (2 * j - 1) / m)
-            for j in range(1, m // 2 + 1)]
+        return tuple(2.0 * math.cos(2.0 * math.pi * j / m)
+                     for j in range(1, (m - 1) // 2 + 1))
+    return tuple(2.0 * math.cos(math.pi * (2 * j - 1) / m)
+                 for j in range(1, m // 2 + 1))
 
 
 def _product_form_value(eq: GeneratorEquation, params: CurveParams, u: float) -> float:

@@ -23,7 +23,8 @@ from typing import NamedTuple
 from .exact import (CyclotomicElement, _divisors, _is_prime, euler_phi,
                     subfield_degree)
 from .generators import GeneratorEquation, generator_equation
-from .rowspan import CurveParams, Summand, _matrix_rows, _span_entries, summands
+from .rowspan import (CurveParams, Summand, _in_sorted, _matrix_rows,
+                      _span_entries, summands)
 
 ARITHMETIC_PAIRS = frozenset(
     {(2, 3), (2, 4), (2, 6), (3, 3), (4, 4), (6, 6)})
@@ -166,14 +167,14 @@ def verify_cover(big: CurveParams, small: CurveParams) -> CoverCertificate:
     if nm_big % nm_small:
         raise ValueError(f"{nm_small} does not divide {nm_big}")
     k = nm_big // nm_small
-    deck_big = set(_span_entries(big.n, big.m))
+    deck_big = _span_entries(big.n, big.m)
     N = big.N
     images = tuple(
         tuple((k * v) % N for v in row)
         for row in _matrix_rows(small.n, small.m))
     # the row span of S(n, m) is {(a, b, -a, -b) : (a, b) in G}
-    holds = all(img[2:] == (-img[0] % N, -img[1] % N) and img[:2] in deck_big
-                for img in images)
+    holds = all(img[2:] == (-img[0] % N, -img[1] % N)
+                and _in_sorted(deck_big, img[:2]) for img in images)
     return CoverCertificate(big, small, k, images, holds)
 
 
@@ -244,10 +245,8 @@ def hecke_scalars(params: CurveParams) -> HeckeScalars:
     + zeta^-(p r2 + q r1) for (p, q) in {(1,1), (1,-1), (1,0)}, with
     r1 = nm - n - m and r2 = nm + n - m; they generate the invariant trace
     field."""
-    n, m = params.n, params.m
     N = params.N
-    nm = n * m
-    r1, r2 = nm - n - m, nm + n - m
+    r1, r2 = _matrix_rows(params.n, params.m)[0][:2]
     exps = []
     for p, q in ((1, 1), (1, -1), (1, 0)):
         u, v = p * r1 + q * r2, p * r2 + q * r1

@@ -21,6 +21,7 @@ size-four orbit.  ``verify`` keeps that selection over G as its oracle;
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -149,6 +150,12 @@ def row_span(params: CurveParams) -> tuple[Vector, ...]:
     N = params.N
     return tuple((a, b, -a % N, -b % N)
                  for a, b in _span_entries(params.n, params.m))
+
+
+def _in_sorted(items, item) -> bool:
+    """Membership in a sorted tuple, such as G or a row span, by bisection."""
+    i = bisect_left(items, item)
+    return i < len(items) and items[i] == item
 
 
 def klein_action(r: Vector, element: str) -> Vector:

@@ -22,8 +22,8 @@ from typing import Callable, NamedTuple
 from . import generators as gens
 from . import invariants as inv
 from .exact import X, IntPolynomial, chebyshev_c
-from .rowspan import (CurveParams, _matrix_rows, klein_orbits, row_span,
-                      span_closure, summands)
+from .rowspan import (CurveParams, _in_sorted, _matrix_rows, klein_orbits,
+                      row_span, span_closure, summands)
 from .surface import (build_surface, commute_check,
                       cylinder_preservation_check, has_fixed_edge,
                       intertwine_check, lift_class_count, lift_sigma2,
@@ -149,9 +149,8 @@ def _rowspan_pair(ctx: PairContext) -> str | None:
                (-n - m, n - m, n + m, -n + m)]
     if n % 2 or m % 2:
         members += [(m, m, -m, -m), (n, -n, -n, n)]
-    span_set = set(span)
     for vec in members:
-        if tuple(v % N for v in vec) not in span_set:
+        if not _in_sorted(span, tuple(v % N for v in vec)):
             return f"({n},{m}): {vec} missing from the row span"
     return None
 
@@ -435,7 +434,8 @@ def _swap_pair(ctx: PairContext) -> str | None:
     a, b = ctx.params, CurveParams(m, n)
     if inv.genus(a) != inv.genus(b):
         return f"({n},{m}): genus changes under swap"
-    if sorted(inv.lyapunov_spectrum(a)) != sorted(inv.lyapunov_spectrum(b)):
+    # in canonical order equal multisets are equal tuples, so no sort
+    if inv.lyapunov_spectrum(a) != inv.lyapunov_spectrum(b):
         return f"({n},{m}): spectrum changes under swap"
     if inv.is_arithmetic(a) != inv.is_arithmetic(b):
         return f"({n},{m}): arithmeticity changes under swap"

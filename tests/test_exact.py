@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vwbm import invariants
 from vwbm.exact import (CyclotomicElement, IntPolynomial, X, _factorize,
                         _fp_root_powers, _root_sum_vector, chebyshev_c,
                         cyclotomic_poly, euler_phi, subfield_degree,
                         units_mod)
+from vwbm.rowspan import CurveParams
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +263,77 @@ def test_subfield_degree_confirms_on_coordinates():
     assert subfield_degree(12, [(1, 7)]) == 1
     assert subfield_degree(12, [(1, 7), (1, -1)]) == 2
     assert subfield_degree(15, [(1, 6, 11, 3)]) == subfield_degree(15, [(3,)])
+
+
+def _ascending_scan(K, generators):
+    """A reference stabilizer scan: every unit in increasing order, each
+    filtered in F_p and confirmed exactly unless it lies in the subgroup
+    confirmed so far; no coset of a rejected unit is skipped."""
+    gens = [tuple(sorted(e % K for e in g)) for g in generators]
+    p, powers = _fp_root_powers(K)
+    images = [sum(powers[e] for e in g) % p for g in gens]
+
+    def fixes(a, g):
+        image = tuple(sorted(a * e % K for e in g))
+        return (image == g
+                or _root_sum_vector(K, image) == _root_sum_vector(K, g))
+
+    units = units_mod(K)
+    stab = {1}
+    for a in units:
+        if a in stab or any(sum(powers[a * e % K] for e in g) % p != v
+                            for g, v in zip(gens, images)):
+            continue
+        if all(fixes(a, g) for g in gens):
+            coset, power = set(stab), a
+            while power not in stab:
+                coset |= {power * h % K for h in stab}
+                power = power * a % K
+            stab = coset
+    return len(units) // len(stab)
+
+
+def test_subfield_degree_at_orders_one_and_two():
+    # units_mod(1) is [1] and units_mod(2) is [1]: there -1 is not K - 1,
+    # and the scan must still end
+    for K in (1, 2):
+        assert units_mod(K) == [1]
+        for gens in ([(0,)], [(1,)], [(1, -1)], [(0, 1), (1, 1, 1)], []):
+            assert subfield_degree(K, gens) == 1
+
+
+@pytest.mark.parametrize("K,gens,degree", [
+    (7, [(1,)], 6),                  # the full field: H is trivial
+    (7, [(1, 2, 4)], 2),             # H = {1, 2, 4} does not hold -1
+    (13, [(1, 3, 9)], 4),            # H = {1, 3, 9}
+    (15, [(1, 4)], 4),               # H = {1, 4}
+    (16, [(1, 7)], 4),               # H = {1, 7}
+    (21, [(1, 4, 16), (7,)], 4),     # H = {1, 4, 16}, of index 4
+    (24, [(1, 5), (1, 7)], 8),       # H = {1, 5} and {1, 7} meet in {1}
+])
+def test_subfield_degree_when_minus_one_moves_a_generator(K, gens, degree):
+    assert subfield_degree(K, gens) == degree == _ascending_scan(K, gens)
+
+
+def test_subfield_degree_matches_ascending_scan_on_curve_generators(
+        monkeypatch):
+    # every (K, generators) that the trace-field oracle and the Hecke
+    # scalars build for n, m <= 12
+    calls = []
+
+    def recording(K, generators):
+        calls.append((K, [tuple(g) for g in generators]))
+        return subfield_degree(K, generators)
+
+    monkeypatch.setattr(invariants, "subfield_degree", recording)
+    for n in range(2, 13):
+        for m in range(2, 13):
+            if n * m >= 6:
+                invariants.trace_degrees_oracle(CurveParams(n, m))
+                invariants.hecke_scalars(CurveParams(n, m))
+    assert len(calls) == 3 * (11 * 11 - 1)
+    for K, gens in calls:
+        assert subfield_degree(K, gens) == _ascending_scan(K, gens), (K, gens)
 
 
 def test_units_mod_matches_gcd_scan():
