@@ -2,14 +2,14 @@
 
 from .exact import (CyclotomicElement, IntPolynomial, chebyshev_c,
                     cyclotomic_poly, euler_phi, subfield_degree)
-from .generators import (GeneratorEquation, differential_description,
-                         generator_equation, verify_equation_numeric)
+from .generators import (GeneratorEquation, generator_equation,
+                         verify_equation_numeric)
 from .invariants import (Classification, CurveReport, admissible_triangle_group,
                          algebraically_primitive, classify, covers,
                          curve_report, genus, hecke_scalars, is_arithmetic,
                          lyapunov_spectrum, trace_degrees,
                          trace_degrees_oracle, verify_cover)
-from .rowspan import CurveParams, Summand, klein_action, row_span, summands
+from .rowspan import CurveParams, Summand, row_span, summands
 from .surface import (CombSurface, Square, SymmetryLift, build_surface,
                       cylinder_preservation_check, lift_class_count,
                       lift_sigma2, lift_sigma4, surface_genus)
@@ -19,13 +19,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CyclotomicElement", "IntPolynomial", "chebyshev_c", "cyclotomic_poly",
     "euler_phi", "subfield_degree",
-    "GeneratorEquation", "differential_description", "generator_equation",
-    "verify_equation_numeric",
+    "GeneratorEquation", "generator_equation", "verify_equation_numeric",
     "Classification", "CurveReport", "admissible_triangle_group",
     "algebraically_primitive", "classify", "covers", "curve_report", "genus",
     "hecke_scalars", "is_arithmetic", "lyapunov_spectrum", "trace_degrees",
     "trace_degrees_oracle", "verify_cover",
-    "CurveParams", "Summand", "klein_action", "row_span", "summands",
+    "CurveParams", "Summand", "row_span", "summands",
     "CombSurface", "Square", "SymmetryLift", "build_surface",
     "cylinder_preservation_check", "lift_class_count", "lift_sigma2",
     "lift_sigma4", "surface_genus",

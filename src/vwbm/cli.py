@@ -323,7 +323,7 @@ def cmd_surface(args) -> int:
             "involution": lift4.is_involution(),
             "fixed_edges": len(fixed_edges(surface, lift4)),
             "vertical_cylinders_preserved":
-                cylinder_preservation_check(surface, lift4).ok,
+                cylinder_preservation_check(surface, lift4) is None,
         })
     payload = {
         "params": _params_dict(params),
@@ -334,10 +334,10 @@ def cmd_surface(args) -> int:
             "involution": lift2.is_involution(),
             "fixed_edges": len(fixed_edges(surface, lift2)),
             "horizontal_cylinders_preserved":
-                cylinder_preservation_check(surface, lift2).ok,
+                cylinder_preservation_check(surface, lift2) is None,
         },
         "sigma4_variants": lifts4,
-        "lift_classes": lift_class_count(surface).classes,
+        "lift_classes": lift_class_count(surface),
     }
     if args.format == "json":
         _emit_json(payload)

@@ -149,24 +149,3 @@ def verify_equation_numeric(eq: GeneratorEquation, params: CurveParams,
         worst = max(worst, dev)
     return NumericCheck(worst < tol, worst, count, tol)
 
-
-def differential_description(eq: GeneratorEquation) -> dict:
-    """Structured rendering of the one-form y du / D(u).
-
-    Also checks the exact divisibility D^2 | (u-2)^a rhs^b appropriate to
-    the case: D^2 = (u-2) rhs for odd m, D^2 | (u-2) rhs for even m with n
-    odd, and D^2 | (u-2)^2 rhs^2 when both are even.
-    """
-    d2 = eq.differential_denominator * eq.differential_denominator
-    if eq.case == CASE_M_ODD:
-        if d2 != U_MINUS_2 * eq.rhs:
-            raise AssertionError("D^2 differs from (u - 2) rhs for odd m")
-    elif eq.case == CASE_M_EVEN_N_ODD:
-        (U_MINUS_2 * eq.rhs).exact_div(d2)
-    else:
-        ((U_MINUS_2 ** 2) * eq.rhs * eq.rhs).exact_div(d2)
-    return {
-        "one_form": "y du / D(u)",
-        "denominator_coeffs": list(eq.differential_denominator.coeffs),
-        "text": eq.differential_text(),
-    }

@@ -27,17 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-KLEIN_ELEMENTS = ("id", "sigma2", "sigma3", "sigma4")
-
-# Coordinate permutations: sigma2 = (12)(34), sigma4 = (14)(23) and
-# sigma3 = sigma2 . sigma4 = (13)(24), written as index maps.
-_KLEIN_PERMS = {
-    "id": (0, 1, 2, 3),
-    "sigma2": (1, 0, 3, 2),
-    "sigma4": (3, 2, 1, 0),
-    "sigma3": (2, 3, 0, 1),
-}
-
 Vector = tuple[int, int, int, int]
 
 
@@ -71,9 +60,10 @@ class CurveParams(namedtuple("CurveParams", "n m")):
 class Summand(namedtuple("Summand", "n m k j")):
     """The selected piece of T(n, m) at the lattice point (k, j), as ints.
 
-    Its angles (kappa, mu, nu) = (0, k/m, j/n), in units of pi, and its
-    exponent are formed as fractions only when read.  ``tiling`` is set when
-    mu and nu are unit fractions, i.e. when it tiles the hyperbolic plane.
+    ``cli`` prints its angles (kappa, mu, nu) = (0, k/m, j/n), in units of
+    pi, from the ints; its exponent is a fraction formed when read.
+    ``tiling`` is set when mu and nu are unit fractions, i.e. when it tiles
+    the hyperbolic plane.
     """
 
     __slots__ = ()
@@ -84,10 +74,6 @@ class Summand(namedtuple("Summand", "n m k j")):
         nm, w = n * m, n * k + m * j
         return (nm + w, nm - n * k + m * j, nm - w, nm + n * k - m * j)
 
-    kappa = property(lambda self: Fraction(0))
-    mu = property(lambda self: Fraction(self.k, self.m))
-    nu = property(lambda self: Fraction(self.j, self.n))
-    angles = property(lambda self: (self.kappa, self.mu, self.nu))
     tiling = property(lambda self: self.m % self.k == 0 == self.n % self.j)
 
     @property
@@ -158,18 +144,10 @@ def _in_sorted(items, item) -> bool:
     return i < len(items) and items[i] == item
 
 
-def klein_action(r: Vector, element: str) -> Vector:
-    """Apply a Klein four-group element, acting by coordinate permutation."""
-    try:
-        perm = _KLEIN_PERMS[element]
-    except KeyError:
-        raise ValueError(f"unknown Klein element {element!r}; "
-                         f"expected one of {KLEIN_ELEMENTS}") from None
-    return tuple(r[i] for i in perm)
-
-
 def klein_orbit(r: Vector) -> frozenset[Vector]:
-    a, b, c, d = r                  # under id, sigma2, sigma3 and sigma4
+    # the images under the coordinate permutations id, sigma2 = (12)(34),
+    # sigma3 = (13)(24) and sigma4 = (14)(23)
+    a, b, c, d = r
     return frozenset(((a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a)))
 
 

@@ -244,17 +244,12 @@ def fixed_edges(surface: CombSurface, lift: SymmetryLift) -> tuple[tuple[Square,
                  for tag, target in targets if lift.displacement(c) == target)
 
 
-class CheckReport(NamedTuple):
-    """Outcome of an exhaustive check, with a witness on failure."""
-
-    ok: bool
-    witness: tuple | None = None
-    detail: str = ""
-
+# The checks below return their failure text, naming the square where one
+# fails, or None when they pass.
 
 def intertwine_check(surface: CombSurface,
                      lift2: SymmetryLift,
-                     lift4: SymmetryLift) -> CheckReport:
+                     lift4: SymmetryLift) -> str | None:
     """Conjugation of the deck group by the lifts.
 
     Specific relations: s2 T1 s2 = T2, s2 T3 s2 = T4, s4 T1 s4 = T4,
@@ -275,24 +270,21 @@ def intertwine_check(surface: CombSurface,
     for lift, a, b in pairs:
         for sq in PROBES:
             if lift(deck(a, lift(sq))) != deck(b, sq):
-                return CheckReport(
-                    False, (sq,),
-                    f"{lift.kind} T{a} {lift.kind} != T{b} at {sq}")
+                return f"{lift.kind} T{a} {lift.kind} != T{b} at {sq}"
     for lift in (lift2, lift4):
         if not lift.is_involution():
-            return CheckReport(False, (PROBES[0],),
-                               f"{lift.kind} is not an involution")
-    return CheckReport(True)
+            return f"{lift.kind} is not an involution"
+    return None
 
 
-def commute_check(lift_a: SymmetryLift, lift_b: SymmetryLift) -> CheckReport:
+def commute_check(lift_a: SymmetryLift, lift_b: SymmetryLift) -> str | None:
     for sq in PROBES:
         if lift_a(lift_b(sq)) != lift_b(lift_a(sq)):
-            return CheckReport(False, (sq,), f"lifts do not commute at {sq}")
-    return CheckReport(True)
+            return f"lifts do not commute at {sq}"
+    return None
 
 
-def cylinder_preservation_check(surface: CombSurface, lift: SymmetryLift) -> CheckReport:
+def cylinder_preservation_check(surface: CombSurface, lift: SymmetryLift) -> str | None:
     """Does the lift map every horizontal (sigma2) / vertical (sigma4)
     cylinder to itself?
 
@@ -301,7 +293,7 @@ def cylinder_preservation_check(surface: CombSurface, lift: SymmetryLift) -> Che
     the image of a white s must differ from its color flip by col_4 plus a
     power of T1 T2, and the image of a black s by col_3 plus a power of
     T1 T2.  The difference is affine in the label, so it is tested at
-    c = 0 and at the four columns.  Returns a counterexample on failure.
+    c = 0 and at the four columns, and a failure names the square.
     """
     c1, c2, c3, c4 = surface.span.columns
     if lift.kind == "sigma2":
@@ -313,9 +305,8 @@ def cylinder_preservation_check(surface: CombSurface, lift: SymmetryLift) -> Che
         constant = surface.sub(shift, offset)
         for c in ((0, 0),) + surface.span.columns:
             if surface.add(lift.displacement(c), constant) not in sub:
-                sq = Square(c, color)
-                return CheckReport(False, (sq,), f"cylinder broken at {sq}")
-    return CheckReport(True)
+                return f"cylinder broken at {Square(c, color)}"
+    return None
 
 
 def surface_genus(surface: CombSurface) -> int:
@@ -335,16 +326,22 @@ def surface_genus(surface: CombSurface) -> int:
     return g
 
 
-class LiftClassSummary(NamedTuple):
-    """Census of fixed-point lift pairs of the pillowcase symmetry group."""
+def _lift_candidates(surface: CombSurface, base: SymmetryLift) -> set[Pair]:
+    """The e with T_e base an involution with a fixed edge, checked to be
+    closed under conjugation by the columns; see ``lift_class_count``."""
+    add = surface.add
+    target = _edge_targets(surface, base)[0][1]
+    translates = {add(target, d) for d in displacement_image(surface, base)}
+    found = {e for e in translates if add(base.linear(e), e) == (0, 0)}
+    for col in surface.span.columns:
+        move = surface.sub(col, base.linear(col))
+        if {add(e, move) for e in found} != found:
+            raise AssertionError(
+                f"conjugation by {col} moves a {base.kind} candidate out")
+    return found
 
-    classes: int
-    valid_pairs: int
-    sigma2_candidates: int
-    sigma4_candidates: int
 
-
-def lift_class_count(surface: CombSurface) -> LiftClassSummary:
+def lift_class_count(surface: CombSurface) -> int:
     """Count deck-conjugacy classes of lifts of the full symmetry group.
 
     A candidate pair is (T_e sigma2~, T_f sigma4~) for deck elements e, f
@@ -355,38 +352,24 @@ def lift_class_count(surface: CombSurface) -> LiftClassSummary:
     For a base lift with linear part A, T_e base is an involution iff
     (A + I) e = 0 and fixes an edge iff e lies in the coset target + (A - I) G
     (inside G, as the targets are; both targets give the same coset).  Every
-    pair of candidates commutes (see the module docstring).  Conjugation by
-    T_a adds a - A a to e, an action with kernel K = {a : swap a = a,
-    2a = 0}, so a class has |G| / |K| pairs.  This rests on the base
-    relations that ``intertwine_check`` verifies first; each candidate set
-    is checked to be closed under the moves of the columns, which generate
-    G.
+    pair of candidates commutes (see the module docstring), so there are
+    c2 c4 valid pairs.  Conjugation by T_a adds a - A a to e, an action with
+    kernel K = {a : swap a = a, 2a = 0}, so a class has |G| / |K| pairs.
+    This rests on the base relations that ``intertwine_check`` verifies
+    first; each candidate set is checked to be closed under the moves of the
+    columns, which generate G.
     """
     base2 = lift_sigma2(surface)
     base4 = lift_sigma4(surface, 1)
-    rel = intertwine_check(surface, base2, base4)
-    if not rel.ok:
-        raise AssertionError(f"conjugation relations failed: {rel.detail}")
-
-    add, sub_ = surface.add, surface.sub
-
-    def candidates(base: SymmetryLift) -> set[Pair]:
-        target = _edge_targets(surface, base)[0][1]
-        image = displacement_image(surface, base)
-        translates = {add(target, d) for d in image}
-        found = {e for e in translates if add(base.linear(e), e) == (0, 0)}
-        for col in surface.span.columns:
-            move = sub_(col, base.linear(col))
-            if {add(e, move) for e in found} != found:
-                raise AssertionError(
-                    f"conjugation by {col} moves a {base.kind} candidate out")
-        return found
-
-    c2, c4 = len(candidates(base2)), len(candidates(base4))
+    broken = intertwine_check(surface, base2, base4)
+    if broken is not None:
+        raise AssertionError(f"conjugation relations failed: {broken}")
+    c2 = len(_lift_candidates(surface, base2))
+    c4 = len(_lift_candidates(surface, base4))
     # K = {a in G : swap a = a, 2a = 0} lies in {(0, 0), (N/2, N/2)}
     half = surface.span.modulus // 2
     kernel = 1 + ((half, half) in surface.span.elements)
     classes, rest = divmod(c2 * c4 * kernel, len(surface.span.elements))
     if rest:
         raise AssertionError("the conjugation orbits do not divide the census")
-    return LiftClassSummary(classes, c2 * c4, c2, c4)
+    return classes

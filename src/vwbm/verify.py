@@ -292,25 +292,25 @@ def _lift_pair(ctx: PairContext) -> str | None:
     if not has_fixed_edge(surface, lift2):
         return f"({n},{m}): sigma2 lift has no fixed edge"
     horiz = cylinder_preservation_check(surface, lift2)
-    if not horiz.ok:
-        return f"({n},{m}): sigma2 {horiz.detail}"
+    if horiz is not None:
+        return f"({n},{m}): sigma2 {horiz}"
     for lift4 in variants:
         tag = f"sigma4 variant {lift4.variant}"
         if not lift4.is_involution():
             return f"({n},{m}): {tag} is not an involution"
         if not has_fixed_edge(surface, lift4):
             return f"({n},{m}): {tag} has no fixed edge"
-        if not commute_check(lift2, lift4).ok:
+        if commute_check(lift2, lift4) is not None:
             return f"({n},{m}): {tag} does not commute with sigma2"
         # lift_class_count checks (sigma2, variant 1) and raises on failure
         if lift4.variant == 2:
             rel = intertwine_check(surface, lift2, lift4)
-            if not rel.ok:
-                return f"({n},{m}): {tag} {rel.detail}"
+            if rel is not None:
+                return f"({n},{m}): {tag} {rel}"
         vert = cylinder_preservation_check(surface, lift4)
-        if not vert.ok:
-            return f"({n},{m}): {tag} {vert.detail}"
-    got = lift_class_count(surface).classes
+        if vert is not None:
+            return f"({n},{m}): {tag} {vert}"
+    got = lift_class_count(surface)
     if got != len(variants):
         return f"({n},{m}): {got} lift classes, expected {len(variants)}"
     return None
@@ -353,7 +353,18 @@ def _generator_pair(ctx: PairContext) -> str | None:
     if not check.ok:
         return (f"({n},{m}): product form deviates by "
                 f"{check.max_relative_deviation:.3e}")
-    gens.differential_description(eq)  # raises unless D^2 divides exactly
+    # the one-form y du / D: D^2 = (u - 2) rhs for odd m; D^2 divides
+    # (u - 2) rhs for even m and odd n, and ((u - 2) rhs)^2 when both are even
+    d, lin_rhs = eq.differential_denominator, gens.U_MINUS_2 * eq.rhs
+    if m % 2:
+        holds, law = d * d == lin_rhs, "D^2 = (u - 2) rhs"
+    elif n % 2:
+        holds, law = lin_rhs.divide(d * d)[1].is_zero(), "D^2 | (u - 2) rhs"
+    else:
+        holds = (lin_rhs * lin_rhs).divide(d * d)[1].is_zero()
+        law = "D^2 | ((u - 2) rhs)^2"
+    if not holds:
+        return f"({n},{m}): one-form law {law} fails"
     lin, q, mult = eq.rhs_factored
     if (gens.U_MINUS_2 ** lin) * (q ** mult) != eq.rhs:
         return f"({n},{m}): stored factorization does not multiply out"
@@ -389,13 +400,18 @@ def _spectrum_pair(ctx: PairContext) -> str | None:
         # read off r: mu N = a - b, nu N = a + b - N and lambda chi = min r
         a, b, c, d = r = s.vector
         mu_n, nu_n, low = a - b, a + b - N, min(r)
+        # this law also puts mu and nu on the 1/m, 1/n lattices: 2n | a - b
+        # and 2m | a + b - N
         if (mu_n != 2 * n * s.k or nu_n != 2 * m * s.j
                 or low != nm - n * s.k - m * s.j):
-            return f"({n},{m}): mu, nu, lambda do not match {r}"
+            return (f"({n},{m}): mu, nu, lambda do not match {r} "
+                    f"(angle lattice law)")
         # so (-min r, a - b) is the printed order: descending exponent, then
-        # mu; nu is then fixed by the area-defect law below
+        # mu; nu is then fixed by the area-defect law below.  The order is
+        # strict, and (min r, a - b) fixes (k, j), so no point repeats
         if prev is not None and (-low, mu_n) <= prev:
-            return f"({n},{m}): summands out of canonical order at {r}"
+            return (f"({n},{m}): summands out of canonical order at {r} "
+                    f"(no-repeat law)")
         prev = (-low, mu_n)
         if not 0 < low <= chi:
             return f"({n},{m}): exponent {low}/{chi} outside (0, 1]"
@@ -404,8 +420,6 @@ def _spectrum_pair(ctx: PairContext) -> str | None:
         # kappa N = |a + c - N| = |b + d - N|: a cusp, so kappa = 0
         if a + c != N or b + d != N or not (0 < mu_n < N and 0 < nu_n < N):
             return f"({n},{m}): bad angle triple at {r}"
-        if mu_n % (2 * n) or nu_n % (2 * m):
-            return f"({n},{m}): angle denominators escape 1/m, 1/n lattices"
         # the area-defect law lambda = (1 - mu - nu) / (1 - 1/n - 1/m),
         # multiplied by N chi / nm
         if 2 * low != N - mu_n - nu_n:
@@ -415,8 +429,6 @@ def _spectrum_pair(ctx: PairContext) -> str | None:
         return f"({n},{m}): top exponent is not 1 at (0, 1/m, 1/n)"
     # a tiling triangle (0, 1/m', 1/n') is the lattice point (m/m', n/n')
     flagged = {(s.k, s.j) for s in sums if s.tiling}
-    if len(flagged) != sum(1 for s in sums if s.tiling):
-        return f"({n},{m}): repeated flagged triple"
     targets = {(m // c.m, n // c.n) for c in inv.covers(ctx.params)} | {(1, 1)}
     if flagged != targets:
         return f"({n},{m}): flagged points {flagged} != covers {targets}"

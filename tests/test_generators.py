@@ -5,9 +5,9 @@ import pytest
 from vwbm.exact import IntPolynomial, chebyshev_c
 from vwbm.generators import (CASE_BOTH_EVEN, CASE_M_EVEN_N_ODD, CASE_M_ODD,
                              U_MINUS_2, GeneratorEquation, _product_form_value,
-                             differential_description, generator_equation,
-                             verify_equation_numeric)
+                             generator_equation, verify_equation_numeric)
 from vwbm.rowspan import CurveParams
+from vwbm.verify import PairContext, _generator_pair
 
 
 def poly(*coeffs):
@@ -157,11 +157,12 @@ def test_numeric_verification_rejects_corruption():
 
 def test_differential_description():
     eq = generator_equation(CurveParams(2, 5))
-    data = differential_description(eq)
-    assert data["denominator_coeffs"] == [2, -3, -1, 1]  # (u-2)(u^2+u-1)
-    assert data["text"].startswith("y du / (")
+    # (u-2)(u^2+u-1)
+    assert list(eq.differential_denominator.coeffs) == [2, -3, -1, 1]
+    assert eq.differential_text().startswith("y du / (")
     assert eq.factored_text() == "y^4 = (u - 2)(u^2 + u - 1)^2"
     assert eq.differential_text() == "y du / (u^3 - u^2 - 3u + 2)"
-    # exact divisibility holds in every case
+    # exact divisibility, the D^2 law of the generators check, holds in
+    # every case
     for pair in [(3, 4), (4, 4), (2, 9), (5, 8)]:
-        differential_description(generator_equation(CurveParams(*pair)))
+        assert _generator_pair(PairContext(pair)) is None

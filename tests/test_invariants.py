@@ -112,8 +112,13 @@ def test_listed_covers_pass_certificates():
 # tiling flags
 # ---------------------------------------------------------------------------
 
+def _angles(s):
+    """(kappa, mu, nu) = (0, k/m, j/n) of a summand, in units of pi."""
+    return (F(0), F(s.k, s.m), F(s.j, s.n))
+
+
 def flagged_triples(n, m):
-    return {s.angles for s in summands(CurveParams(n, m)) if s.tiling}
+    return {_angles(s) for s in summands(CurveParams(n, m)) if s.tiling}
 
 
 def test_tiling_flags_examples():

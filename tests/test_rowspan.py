@@ -4,12 +4,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from vwbm.rowspan import (KLEIN_ELEMENTS, CurveParams, Summand, _matrix_rows,
-                          _span_entries, klein_action, klein_orbit, row_span,
-                          span_closure, summands)
+from vwbm.rowspan import (CurveParams, Summand, _matrix_rows, _span_entries,
+                          klein_orbit, row_span, span_closure, summands)
 from vwbm.verify import valid_pairs
 
 F = Fraction
+
+
+def _angles(s):
+    """(kappa, mu, nu) = (0, k/m, j/n) of a summand, in units of pi."""
+    return (F(0), F(s.k, s.m), F(s.j, s.n))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +148,28 @@ def test_row_span_equals_closure_of_the_rows(n, m):
 # Klein action
 # ---------------------------------------------------------------------------
 
+KLEIN_ELEMENTS = ("id", "sigma2", "sigma3", "sigma4")
+
+# Coordinate permutations: sigma2 = (12)(34), sigma4 = (14)(23) and
+# sigma3 = sigma2 . sigma4 = (13)(24), written as index maps.
+_KLEIN_PERMS = {
+    "id": (0, 1, 2, 3),
+    "sigma2": (1, 0, 3, 2),
+    "sigma4": (3, 2, 1, 0),
+    "sigma3": (2, 3, 0, 1),
+}
+
+
+def klein_action(r, element):
+    """The Klein four-group element acting by coordinate permutation: the
+    table that ``klein_orbit`` is checked against."""
+    try:
+        perm = _KLEIN_PERMS[element]
+    except KeyError:
+        raise ValueError(f"unknown Klein element {element!r}") from None
+    return tuple(r[i] for i in perm)
+
+
 def test_klein_action_permutations():
     r = (5, 9, 23, 19)
     assert klein_action(r, "sigma2") == (9, 5, 19, 23)
@@ -185,18 +211,14 @@ def test_klein_orbit_sizes():
 # summands
 # ---------------------------------------------------------------------------
 
-def triples(params):
-    return [(s.kappa, s.mu, s.nu) for s in summands(params)]
-
-
 def test_summands_2_7():
     got = summands(CurveParams(2, 7))
-    assert [(s.mu, s.nu, s.lyapunov, s.tiling) for s in got] == [
+    assert [(*_angles(s)[1:], s.lyapunov, s.tiling) for s in got] == [
         (F(1, 7), F(1, 2), F(1), True),
         (F(2, 7), F(1, 2), F(3, 5), False),
         (F(3, 7), F(1, 2), F(1, 5), False),
     ]
-    assert all(s.kappa == 0 for s in got)
+    assert all(_angles(s)[0] == 0 for s in got)
 
 
 def test_summands_4_5():
@@ -210,7 +232,7 @@ def test_summands_4_5():
     }
     got = summands(CurveParams(4, 5))
     assert len(got) == 6
-    assert {s.angles: s.lyapunov for s in got} == expected
+    assert {_angles(s): s.lyapunov for s in got} == expected
 
 
 def test_summands_8_8_multiplicities():
@@ -218,7 +240,7 @@ def test_summands_8_8_multiplicities():
     assert len(got) == 9
     by_exponent = {}
     for s in got:
-        by_exponent.setdefault(s.lyapunov, []).append(s.angles)
+        by_exponent.setdefault(s.lyapunov, []).append(_angles(s))
     assert len(by_exponent[F(1, 3)]) == 5
     assert len(by_exponent[F(2, 3)]) == 3
     assert by_exponent[F(1)] == [(F(0), F(1, 8), F(1, 8))]
@@ -227,7 +249,7 @@ def test_summands_8_8_multiplicities():
 def test_summand_order_is_canonical():
     for pair in [(2, 7), (4, 5), (8, 8), (5, 5)]:
         got = summands(CurveParams(*pair))
-        keys = [(-s.lyapunov, s.mu, s.nu) for s in got]
+        keys = [(-s.lyapunov, *_angles(s)[1:]) for s in got]
         assert keys == sorted(keys)
 
 
@@ -245,13 +267,14 @@ def _selected_on_the_deck_group(n, m):
         j, j_rem = divmod(a + b - N, 2 * m)
         assert k_rem == j_rem == 0
         s, r = Summand(n, m, k, j), (a, b, N - a, N - b)
-        # the properties read off (k, j) agree with the t-values of r
+        # the values read off (k, j) agree with the t-values of r
+        _, mu, nu = angles = _angles(s)
         assert s.vector == r
-        assert s.angles == (0, F(a - b, N), F(a + b - N, N))
+        assert angles == (0, F(a - b, N), F(a + b - N, N))
         assert s.lyapunov == F(min(r), n * m - n - m)
-        assert s.tiling == (s.mu.numerator == 1 == s.nu.numerator)
+        assert s.tiling == (mu.numerator == 1 == nu.numerator)
         out.append(s)
-    out.sort(key=lambda s: (-s.lyapunov, s.mu, s.nu))
+    out.sort(key=lambda s: (-s.lyapunov, *_angles(s)[1:]))
     return tuple(out)
 
 

@@ -8,9 +8,9 @@ from vwbm.generators import generator_equation, verify_equation_numeric
 from vwbm.rowspan import CurveParams, row_span
 from vwbm.verify import (VERIFY_NMAX_MAX, Check, CheckResult,
                          _cosine_root_identity, _sweep, _thread_cap,
-                         check_klein_orbits, check_rowspan_identities,
-                         check_spectrum_laws, check_swap_symmetry,
-                         run_suite, valid_pairs)
+                         check_generators, check_klein_orbits,
+                         check_rowspan_identities, check_spectrum_laws,
+                         check_swap_symmetry, run_suite, valid_pairs)
 
 
 def test_valid_pairs_filter():
@@ -260,8 +260,8 @@ def test_selection_checks_pin_the_chosen_orbit_member(monkeypatch):
     monkeypatch.setenv("VWBM_THREADS", "1")
     params = CurveParams(5, 6)
     for s in rowspan.summands(params):
-        assert (s._replace(k=-s.k).vector
-                == rowspan.klein_action(s.vector, "sigma2"))
+        a, b, c, d = s.vector
+        assert s._replace(k=-s.k).vector == (b, a, d, c)
 
     def sigma2_images(params):
         return tuple(s._replace(k=-s.k) for s in rowspan.summands(params))
@@ -281,7 +281,7 @@ def test_spectrum_level_pins_the_printed_order(monkeypatch, capsys):
 
     def by_exponent_then_nu(params):
         return tuple(sorted(rowspan.summands(params),
-                            key=lambda s: (-s.lyapunov, s.nu)))
+                            key=lambda s: (-s.lyapunov, Fraction(s.j, s.n))))
 
     monkeypatch.setattr(verify, "summands", by_exponent_then_nu)
     code = main(["verify", "16", "--level", "spectrum"])
@@ -295,10 +295,10 @@ def test_a_check_that_raises_fails_at_its_pair(monkeypatch, capsys):
     from vwbm import generators
     monkeypatch.setenv("VWBM_THREADS", "1")
 
-    def inexact(eq):
+    def inexact(params):
         raise ValueError("inexact polynomial division")
 
-    monkeypatch.setattr(generators, "differential_description", inexact)
+    monkeypatch.setattr(generators, "generator_equation", inexact)
     code = main(["verify", "4", "--level", "generators"])
     captured = capsys.readouterr()
     assert code == 1 and captured.err == ""
@@ -306,6 +306,22 @@ def test_a_check_that_raises_fails_at_its_pair(monkeypatch, capsys):
         "FAIL  generator equations exact vs numeric (8 pairs)  "
         "[(2,3): ValueError: inexact polynomial division]",
         "FAIL  overall (nmax=4)"]
+
+
+def test_generators_check_fails_on_the_one_form_law(monkeypatch):
+    # D = rhs breaks D^2 = (u - 2) rhs: the check names the law, no raise
+    from vwbm import generators
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    real = generators.generator_equation
+
+    def rhs_as_denominator(params):
+        eq = real(params)
+        return eq._replace(differential_denominator=eq.rhs)
+
+    monkeypatch.setattr(generators, "generator_equation", rhs_as_denominator)
+    result = check_generators(8)
+    assert not result.passed
+    assert result.detail == "(2,3): one-form law D^2 = (u - 2) rhs fails"
 
 
 def test_a_raising_check_leaves_the_other_checks_running(monkeypatch, capsys):
