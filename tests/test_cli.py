@@ -353,3 +353,17 @@ def test_surface_command_and_checks_build_no_squares(capsys, monkeypatch):
     assert all(r.passed for r in run_suite(8, "lifts"))
     assert [run(capsys, *argv) for argv in commands] == expected
     assert [code for code, _, _ in expected] == [0] * len(commands)
+
+
+def test_covers_and_table_bytes_match_recorded_digests(capsys):
+    # sha256 of covers (json, csv, md, with and without --certify) for
+    # n, m <= 16 and two anchors, and of table at three shapes, the empty
+    # grid 2 2 among them, recorded before the command table and the one
+    # emitter replaced the per-command format branches
+    path = Path(__file__).parent / "data" / "cli_sha256.json"
+    recorded = json.loads(path.read_text())
+    pairs = {f"{n} {m}" for n, m in valid_pairs(16)} | {"2 24", "24 24"}
+    assert set(recorded["covers"]) == pairs | {f"{p} --certify" for p in pairs}
+    assert set(recorded["table"]) == {"9 4", "4 9", "2 2"}
+    for command in ("covers", "table"):
+        assert _changed_outputs(capsys, command, recorded[command]) == []
