@@ -2,8 +2,10 @@ r"""Command-line front end.
 
 Subcommands: ``info`` (full report for one curve), ``table`` (batch angle /
 exponent tables), ``spectrum``, ``covers``, ``generator``, ``tracefield``,
-``surface``, and ``verify`` (consistency sweeps).  Formats are json (default),
-csv, and md.  All numeric output is exact rational strings such as "3/5";
+``surface``, and ``verify`` (consistency sweeps), one row each of
+``COMMANDS``.  Formats are json (default), csv, and md; every report command
+hands its json payload, csv rows and md lines to the one writer ``_emit``.
+All numeric output is exact rational strings such as "3/5";
 the only floating point ever printed is the deviation reported by the
 generator numeric cross-check, in scientific notation.
 
@@ -110,40 +112,49 @@ def _report_dict(report: CurveReport) -> dict:
     }
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, indent=2))
+def _emit(args, payload, header, rows, md) -> int:
+    """Print ``args.format``, calling only its builder: ``payload()`` for json
+    (a dict, or an iterator streamed as a list with the bytes of one
+    ``json.dumps``), ``rows()`` for csv under ``header``, ``md()`` for md."""
+    if args.format == "csv":
+        import csv  # imported here, so only csv output pays for loading it
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows())
+    elif args.format == "md":
+        for text in md():
+            print(text)
+    elif isinstance(value := payload(), dict):
+        print(json.dumps(value, indent=2))
+    else:
+        opened = False
+        for item in value:
+            sys.stdout.write((",\n  " if opened else "[\n  ")
+                             + json.dumps(item, indent=2).replace("\n", "\n  "))
+            opened = True
+        print("\n]" if opened else "[]")
+    return 0
 
 
-def _csv_out(rows: Iterable[dict], header: list[str]) -> None:
-    import csv  # imported here, so only csv output pays for loading it
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([row[h] for h in header])
+# csv columns: n, m, then the keys of _summand_dict in its order
+SUMMAND_HEADER = ("n", "m", "kappa", "mu", "nu", "lyapunov", "tiling")
 
 
-def _summand_rows(params: CurveParams, reverse: bool) -> list[dict]:
-    ordered = summands(params)
-    return [{"n": params.n, "m": params.m, **_summand_dict(s)}
-            for s in (reversed(ordered) if reverse else ordered)]
-
-
-def _md_table(params: CurveParams) -> str:
-    lines = [f"### T({params.n},{params.m})", "",
+def _md_table(n: int, m: int, rows: Iterable[dict]) -> str:
+    lines = [f"### T({n},{m})", "",
              "| (kappa, mu, nu) | exponent |", "| --- | --- |"]
-    for s in reversed(summands(params)):
-        row = _summand_dict(s)
+    for row in rows:
         triple, lam = "({kappa}, {mu}, {nu})".format(**row), row["lyapunov"]
-        if s.tiling:
+        if row["tiling"]:
             triple, lam = f"**{triple}**", f"**{lam}**"
         lines.append(f"| {triple} | {lam} |")
     lines.append("")
     return "\n".join(lines)
 
 
-def _md_report(report: CurveReport) -> str:
-    d = _report_dict(report)
-    lines = [f"## T({report.params.n},{report.params.m})", ""]
+def _md_report(d: dict) -> list[str]:
+    n, m = d["params"]["n"], d["params"]["m"]
+    lines = [f"## T({n},{m})", ""]
     lines.append(f"- genus: {d['genus']}")
     lines.append(f"- spectrum: {', '.join(d['spectrum'])}")
     lines.append(f"- arithmetic: {d['arithmetic']}")
@@ -162,8 +173,8 @@ def _md_report(report: CurveReport) -> str:
     for note in d["notes"]:
         lines.append(f"- note: {note}")
     lines.append("")
-    lines.append(_md_table(report.params))
-    return "\n".join(lines)
+    lines.append(_md_table(n, m, reversed(d["summands"])))
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -171,54 +182,39 @@ def _md_report(report: CurveReport) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_info(args) -> int:
-    params = CurveParams(args.n, args.m)
-    report = curve_report(params)
-    if args.format == "json":
-        _emit_json(_report_dict(report))
-    elif args.format == "csv":
-        _csv_out(_summand_rows(params, reverse=False),
-                 ["n", "m", "kappa", "mu", "nu", "lyapunov", "tiling"])
-    else:
-        print(_md_report(report))
-    return 0
+    report = curve_report(CurveParams(args.n, args.m))
+    return _emit(args, lambda: _report_dict(report), SUMMAND_HEADER,
+                 lambda: ((args.n, args.m, *_summand_dict(s).values())
+                          for s in report.summand_list),
+                 lambda: _md_report(_report_dict(report)))
 
 
 def cmd_table(args) -> int:
     pairs = [CurveParams(n, m)
              for n, m in valid_pairs(max(args.nmax, args.mmax))
              if n <= args.nmax and m <= args.mmax]
-    if args.format == "json":
-        # the bytes of json.dumps(payload, indent=2), one element at a time
-        opened = False
+
+    def payload():
+        # one pair at a time, written before the next pair's rows are built
         for params in pairs:
             rows = [_summand_dict(s) for s in reversed(summands(params))]
-            item = json.dumps({"params": [params.n, params.m],
-                               "genus": len(rows), "rows": rows}, indent=2)
-            sys.stdout.write((",\n  " if opened else "[\n  ")
-                             + item.replace("\n", "\n  "))
-            opened = True
-        print("\n]" if opened else "[]")
-    elif args.format == "csv":
-        rows = (row for params in pairs
-                for row in _summand_rows(params, reverse=True))
-        _csv_out(rows, ["n", "m", "kappa", "mu", "nu", "lyapunov", "tiling"])
-    else:
-        for params in pairs:
-            print(_md_table(params))
-    return 0
+            yield {"params": [params.n, params.m], "genus": len(rows),
+                   "rows": rows}
+
+    return _emit(args, payload, SUMMAND_HEADER,
+                 lambda: ((*t["params"], *row.values()) for t in payload()
+                          for row in t["rows"]),
+                 lambda: (_md_table(*t["params"], t["rows"]) for t in payload()))
 
 
 def cmd_spectrum(args) -> int:
     params = CurveParams(args.n, args.m)
     values = [_summand_dict(s)["lyapunov"] for s in summands(params)]
-    if args.format == "json":
-        _emit_json({"params": _params_dict(params), "spectrum": values})
-    elif args.format == "csv":
-        _csv_out([{"n": params.n, "m": params.m, "lyapunov": x} for x in values],
-                 ["n", "m", "lyapunov"])
-    else:
-        print(f"T({params.n},{params.m}) spectrum: {', '.join(values)}")
-    return 0
+    return _emit(
+        args, lambda: {"params": _params_dict(params), "spectrum": values},
+        ("n", "m", "lyapunov"),
+        lambda: ((params.n, params.m, x) for x in values),
+        lambda: [f"T({params.n},{params.m}) spectrum: {', '.join(values)}"])
 
 
 def cmd_covers(args) -> int:
@@ -237,42 +233,31 @@ def cmd_covers(args) -> int:
                 "contained": cert.holds,
             })
         payload["certificates"] = certs
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        _csv_out([{"n": params.n, "m": params.m, "n_prime": c.n, "m_prime": c.m}
-                  for c in listed], ["n", "m", "n_prime", "m_prime"])
-    else:
-        names = ", ".join(f"T({c.n},{c.m})" for c in listed) or "none"
-        print(f"T({params.n},{params.m}) covers: {names}")
-        if args.certify:
-            for cert in payload.get("certificates", []):
-                print(f"  T({cert['cover'][0]},{cert['cover'][1]}): "
-                      f"scale {cert['scale']}, generator images "
-                      f"{cert['generator_images']}, contained {cert['contained']}")
-    return 0
+    names = ", ".join(f"T({c.n},{c.m})" for c in listed) or "none"
+    return _emit(
+        args, lambda: payload, ("n", "m", "n_prime", "m_prime"),
+        lambda: ((params.n, params.m, c.n, c.m) for c in listed),
+        lambda: [f"T({params.n},{params.m}) covers: {names}",
+                 *(f"  T({cert['cover'][0]},{cert['cover'][1]}): "
+                   f"scale {cert['scale']}, generator images "
+                   f"{cert['generator_images']}, contained {cert['contained']}"
+                   for cert in payload.get("certificates", []))])
 
 
 def cmd_generator(args) -> int:
     params = CurveParams(args.n, args.m)
     data = _generator_dict(params)
-    if args.format == "json":
-        _emit_json({"params": _params_dict(params), "generator": data})
-    elif args.format == "csv":
-        _csv_out([{
-            "n": params.n, "m": params.m, "case": data["case"],
-            "y_exponent": data["y_exponent"],
-            "rhs": " ".join(str(c) for c in data["rhs"]),
-            "differential_denominator": " ".join(
-                str(c) for c in data["differential_denominator"]),
-        }], ["n", "m", "case", "y_exponent", "rhs", "differential_denominator"])
-    else:
-        print(f"T({params.n},{params.m}): {data['factored']['text']}")
-        print(f"expanded: y^{data['y_exponent']} = {data['rhs_text']}")
-        print(f"differential: {data['differential_text']}")
-        print(f"numeric cross-check: max relative deviation "
-              f"{data['numeric_verification']['max_relative_deviation']}")
-    return 0
+    return _emit(
+        args, lambda: {"params": _params_dict(params), "generator": data},
+        ("n", "m", "case", "y_exponent", "rhs", "differential_denominator"),
+        lambda: [(params.n, params.m, data["case"], data["y_exponent"],
+                  " ".join(str(c) for c in data["rhs"]),
+                  " ".join(str(c) for c in data["differential_denominator"]))],
+        lambda: [f"T({params.n},{params.m}): {data['factored']['text']}",
+                 f"expanded: y^{data['y_exponent']} = {data['rhs_text']}",
+                 f"differential: {data['differential_text']}",
+                 f"numeric cross-check: max relative deviation "
+                 f"{data['numeric_verification']['max_relative_deviation']}"])
 
 
 def cmd_tracefield(args) -> int:
@@ -280,35 +265,29 @@ def cmd_tracefield(args) -> int:
     deg_f, deg_e = trace_degrees(params)
     ora_f, ora_e = trace_degrees_oracle(params)
     hecke = hecke_scalars(params)
+    admissible = admissible_triangle_group(params)
     payload = {
         "params": _params_dict(params),
         "degree_F": deg_f,
         "degree_E": deg_e,
         "oracle_degree_F": ora_f,
         "oracle_degree_E": ora_e,
-        "admissible_triangle_group": admissible_triangle_group(params),
+        "admissible_triangle_group": admissible,
         "hecke": {
             "field_degree": hecke.field_degree,
             "scalars": [[str(c) for c in s.coords] for s in hecke.scalars],
         },
     }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        _csv_out([{
-            "n": params.n, "m": params.m, "degree_F": deg_f, "degree_E": deg_e,
-            "oracle_degree_F": ora_f, "oracle_degree_E": ora_e,
-            "admissible_triangle_group": payload["admissible_triangle_group"],
-            "hecke_field_degree": hecke.field_degree,
-        }], ["n", "m", "degree_F", "degree_E", "oracle_degree_F",
-             "oracle_degree_E", "admissible_triangle_group",
-             "hecke_field_degree"])
-    else:
-        print(f"T({params.n},{params.m}) trace field degrees: "
-              f"F {deg_f} (oracle {ora_f}), E {deg_e} (oracle {ora_e})")
-        print(f"admissible triangle group: {payload['admissible_triangle_group']}")
-        print(f"Hecke scalar field degree: {hecke.field_degree}")
-    return 0
+    return _emit(
+        args, lambda: payload,
+        ("n", "m", "degree_F", "degree_E", "oracle_degree_F",
+         "oracle_degree_E", "admissible_triangle_group", "hecke_field_degree"),
+        lambda: [(params.n, params.m, deg_f, deg_e, ora_f, ora_e, admissible,
+                  hecke.field_degree)],
+        lambda: [f"T({params.n},{params.m}) trace field degrees: "
+                 f"F {deg_f} (oracle {ora_f}), E {deg_e} (oracle {ora_e})",
+                 f"admissible triangle group: {admissible}",
+                 f"Hecke scalar field degree: {hecke.field_degree}"])
 
 
 def cmd_surface(args) -> int:
@@ -325,11 +304,13 @@ def cmd_surface(args) -> int:
             "vertical_cylinders_preserved":
                 cylinder_preservation_check(surface, lift4) is None,
         })
+    order = len(surface.span.elements)
+    genus, classes = surface_genus(surface), lift_class_count(surface)
     payload = {
         "params": _params_dict(params),
-        "column_span_order": len(surface.span.elements),
-        "square_count": 2 * len(surface.span.elements),
-        "surface_genus": surface_genus(surface),
+        "column_span_order": order,
+        "square_count": 2 * order,
+        "surface_genus": genus,
         "sigma2": {
             "involution": lift2.is_involution(),
             "fixed_edges": len(fixed_edges(surface, lift2)),
@@ -337,30 +318,21 @@ def cmd_surface(args) -> int:
                 cylinder_preservation_check(surface, lift2) is None,
         },
         "sigma4_variants": lifts4,
-        "lift_classes": lift_class_count(surface),
+        "lift_classes": classes,
     }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        _csv_out([{"n": params.n, "m": params.m, **payload}],
-                 ["n", "m", "column_span_order", "square_count",
-                  "surface_genus", "lift_classes"])
-    else:
-        print(f"S({params.n},{params.m}): deck group of order "
-              f"{payload['column_span_order']}, {payload['square_count']} "
-              f"squares, genus {payload['surface_genus']}, "
-              f"{payload['lift_classes']} symmetry lift class(es)")
-    return 0
+    return _emit(
+        args, lambda: payload,
+        ("n", "m", "column_span_order", "square_count", "surface_genus",
+         "lift_classes"),
+        lambda: [(params.n, params.m, order, 2 * order, genus, classes)],
+        lambda: [f"S({params.n},{params.m}): deck group of order {order}, "
+                 f"{2 * order} squares, genus {genus}, "
+                 f"{classes} symmetry lift class(es)"])
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = run_suite(args.nmax, args.level)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     failed = False
-    for result in results:
+    for result in run_suite(args.nmax, args.level):
         print(result.line())
         failed = failed or not result.passed
     print(("FAIL" if failed else "PASS") + f"  overall (nmax={args.nmax})")
@@ -371,13 +343,18 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_nm(sub) -> None:
-    sub.add_argument("n", type=int)
-    sub.add_argument("m", type=int)
-
-
-def _add_format(sub) -> None:
-    sub.add_argument("--format", choices=FORMATS, default="json")
+# (name, help, integer arguments, handler), in the order --help lists them
+NM = ("n", "m")
+COMMANDS = (
+    ("info", "full report for one curve", NM, cmd_info),
+    ("table", "angle/exponent tables for a grid", ("nmax", "mmax"), cmd_table),
+    ("spectrum", "Lyapunov spectrum", NM, cmd_spectrum),
+    ("covers", "covered curves T(n', m')", NM, cmd_covers),
+    ("generator", "generating curve and one-form", NM, cmd_generator),
+    ("tracefield", "trace-field degrees and Hecke data", NM, cmd_tracefield),
+    ("surface", "square-tiled model of S(n, m)", NM, cmd_surface),
+    ("verify", "run the consistency sweeps", ("nmax",), cmd_verify),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,51 +364,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "Teichmuller curves T(n, m).")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("info", help="full report for one curve")
-    _add_nm(p)
-    _add_format(p)
-    p.set_defaults(fn=cmd_info)
-
-    p = subs.add_parser("table", help="angle/exponent tables for a grid")
-    p.add_argument("nmax", type=int)
-    p.add_argument("mmax", type=int)
-    _add_format(p)
-    p.set_defaults(fn=cmd_table)
-
-    p = subs.add_parser("spectrum", help="Lyapunov spectrum")
-    _add_nm(p)
-    _add_format(p)
-    p.set_defaults(fn=cmd_spectrum)
-
-    p = subs.add_parser("covers", help="covered curves T(n', m')")
-    _add_nm(p)
-    p.add_argument("--certify", action="store_true",
-                   help="include row-span containment certificates")
-    _add_format(p)
-    p.set_defaults(fn=cmd_covers)
-
-    p = subs.add_parser("generator", help="generating curve and one-form")
-    _add_nm(p)
-    _add_format(p)
-    p.set_defaults(fn=cmd_generator)
-
-    p = subs.add_parser("tracefield", help="trace-field degrees and Hecke data")
-    _add_nm(p)
-    _add_format(p)
-    p.set_defaults(fn=cmd_tracefield)
-
-    p = subs.add_parser("surface", help="square-tiled model of S(n, m)")
-    _add_nm(p)
-    _add_format(p)
-    p.set_defaults(fn=cmd_surface)
-
-    p = subs.add_parser("verify", help="run the consistency sweeps")
-    p.add_argument("nmax", type=int)
-    p.add_argument("--level", default="all",
-                   help="all, rowspan, genus, trace-only, covers, lifts, "
-                        "generators, or spectrum")
-    p.set_defaults(fn=cmd_verify)
+    for name, text, ints, fn in COMMANDS:
+        p = subs.add_parser(name, help=text)
+        for arg in ints:
+            p.add_argument(arg, type=int)
+        if name == "covers":
+            p.add_argument("--certify", action="store_true",
+                           help="include row-span containment certificates")
+        if name == "verify":
+            p.add_argument("--level", default="all",
+                           help="all, rowspan, genus, trace-only, covers, "
+                                "lifts, generators, or spectrum")
+        else:
+            p.add_argument("--format", choices=FORMATS, default="json")
+        p.set_defaults(fn=fn)
     return parser
 
 
