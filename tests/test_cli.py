@@ -367,3 +367,65 @@ def test_covers_and_table_bytes_match_recorded_digests(capsys):
     assert set(recorded["table"]) == {"9 4", "4 9", "2 2"}
     for command in ("covers", "table"):
         assert _changed_outputs(capsys, command, recorded[command]) == []
+
+
+# ---------------------------------------------------------------------------
+# parser
+# ---------------------------------------------------------------------------
+
+def _help(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_subcommand_usage_lines(capsys, monkeypatch):
+    # the first line of each subcommand's --help, the same on Python
+    # 3.10-3.13; the rest of the help text wraps differently across them
+    monkeypatch.setenv("COLUMNS", "80")
+    fmt = "[--format {json,csv,md}]"
+    expected = {name: f"usage: vwbm {name} [-h] {fmt} n m" for name in (
+        "info", "spectrum", "generator", "tracefield", "surface")}
+    expected["table"] = f"usage: vwbm table [-h] {fmt} nmax mmax"
+    expected["covers"] = f"usage: vwbm covers [-h] [--certify] {fmt} n m"
+    expected["verify"] = "usage: vwbm verify [-h] [--level LEVEL] nmax"
+    for name, usage in expected.items():
+        assert _help(capsys, name, "--help").splitlines()[0] == usage
+
+
+def test_top_level_help_lists_the_subcommands_in_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    # the subcommand lines are the ones indented by exactly four spaces
+    listed = [line.split(None, 1) for line in
+              _help(capsys, "--help").splitlines()
+              if line.startswith("    ") and line[4] != " "]
+    assert listed == [
+        ["info", "full report for one curve"],
+        ["table", "angle/exponent tables for a grid"],
+        ["spectrum", "Lyapunov spectrum"],
+        ["covers", "covered curves T(n', m')"],
+        ["generator", "generating curve and one-form"],
+        ["tracefield", "trace-field degrees and Hecke data"],
+        ["surface", "square-tiled model of S(n, m)"],
+        ["verify", "run the consistency sweeps"],
+    ]
+    assert _help(capsys, "--version") == "0.1.0\n"
+
+
+def test_info_json_and_csv_build_no_md_table(capsys, monkeypatch):
+    # each format builds only what it prints: json and csv no md table,
+    # csv not even the report dict
+    from vwbm import cli
+    expected = [run(capsys, "info", "12", "8", "--format", f)
+                for f in ("json", "csv")]
+
+    def unread(*args):
+        raise AssertionError("built for a format that does not print it")
+
+    monkeypatch.setattr(cli, "_md_table", unread)
+    assert run(capsys, "info", "12", "8", "--format", "json") == expected[0]
+    monkeypatch.setattr(cli, "_report_dict", unread)
+    assert run(capsys, "info", "12", "8", "--format", "csv") == expected[1]
+    with pytest.raises(AssertionError):
+        main(["info", "12", "8", "--format", "md"])
