@@ -57,7 +57,7 @@ def _params_dict(params: CurveParams) -> dict:
 
 def _generator_dict(params: CurveParams) -> dict:
     eq = generator_equation(params)
-    check = verify_equation_numeric(eq, params, 1e-9)
+    check = verify_equation_numeric(eq, params)
     lin, q, mult = eq.rhs_factored
     return {
         "case": eq.case,
@@ -222,7 +222,7 @@ def cmd_covers(args) -> int:
     listed = covers(params)
     payload = {"params": _params_dict(params),
                "covers": [[c.n, c.m] for c in listed]}
-    if args.certify:
+    if args.certify and args.format != "csv":  # csv prints no certificate
         certs = []
         for small in listed:
             cert = verify_cover(params, small)
@@ -293,35 +293,35 @@ def cmd_tracefield(args) -> int:
 def cmd_surface(args) -> int:
     params = CurveParams(args.n, args.m)
     surface = build_surface(params)
-    lift2 = lift_sigma2(surface)
-    lifts4 = []
-    for v in sigma4_variants(params):
-        lift4 = lift_sigma4(surface, v)
-        lifts4.append({
-            "variant": v,
-            "involution": lift4.is_involution(),
-            "fixed_edges": len(fixed_edges(surface, lift4)),
-            "vertical_cylinders_preserved":
-                cylinder_preservation_check(surface, lift4) is None,
-        })
     order = len(surface.span.elements)
     genus, classes = surface_genus(surface), lift_class_count(surface)
-    payload = {
-        "params": _params_dict(params),
-        "column_span_order": order,
-        "square_count": 2 * order,
-        "surface_genus": genus,
-        "sigma2": {
-            "involution": lift2.is_involution(),
-            "fixed_edges": len(fixed_edges(surface, lift2)),
-            "horizontal_cylinders_preserved":
-                cylinder_preservation_check(surface, lift2) is None,
-        },
-        "sigma4_variants": lifts4,
-        "lift_classes": classes,
-    }
+
+    def payload():  # the lift fields, which only json prints
+        lift2 = lift_sigma2(surface)
+        lifts4 = [lift_sigma4(surface, v) for v in sigma4_variants(params)]
+        return {
+            "params": _params_dict(params),
+            "column_span_order": order,
+            "square_count": 2 * order,
+            "surface_genus": genus,
+            "sigma2": {
+                "involution": lift2.is_involution(),
+                "fixed_edges": len(fixed_edges(surface, lift2)),
+                "horizontal_cylinders_preserved":
+                    cylinder_preservation_check(surface, lift2) is None,
+            },
+            "sigma4_variants": [{
+                "variant": lift4.variant,
+                "involution": lift4.is_involution(),
+                "fixed_edges": len(fixed_edges(surface, lift4)),
+                "vertical_cylinders_preserved":
+                    cylinder_preservation_check(surface, lift4) is None,
+            } for lift4 in lifts4],
+            "lift_classes": classes,
+        }
+
     return _emit(
-        args, lambda: payload,
+        args, payload,
         ("n", "m", "column_span_order", "square_count", "surface_genus",
          "lift_classes"),
         lambda: [(params.n, params.m, order, 2 * order, genus, classes)],

@@ -34,6 +34,7 @@ from .exact import IntPolynomial, chebyshev_c, poly_str
 from .rowspan import CurveParams
 
 U_MINUS_2 = IntPolynomial((-2, 1))
+TOLERANCE = 1e-9  # the float product form passes below this deviation
 
 CASE_M_ODD = "m_odd"
 CASE_M_EVEN_N_ODD = "m_even_n_odd"
@@ -120,20 +121,18 @@ class NumericCheck(NamedTuple):
     tolerance: float
 
 
-def verify_equation_numeric(eq: GeneratorEquation, params: CurveParams,
-                            tolerance=1e-9) -> NumericCheck:
+def verify_equation_numeric(eq: GeneratorEquation,
+                            params: CurveParams) -> NumericCheck:
     """Compare the exact rhs against the floating-point cosine product at
     2 deg + 1 sample points; true iff the max relative deviation is below
-    the tolerance.
+    TOLERANCE, the fixed bound 1e-9 that ``info``, ``generator`` and
+    ``verify`` all apply and print.
 
     The rhs is evaluated exactly and rounded once at the end: a sample
     point is u = k / q with q a power of two, so q^d rhs(u) is the integer
     sum of c_j k^j q^(d - j), and int / int rounds correctly.  The deviation
     therefore measures only the error of the floating-point product form.
     """
-    tol = float(tolerance)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     deg = eq.rhs.degree()
     count = 2 * deg + 1
     worst = 0.0
@@ -147,5 +146,5 @@ def verify_equation_numeric(eq: GeneratorEquation, params: CurveParams,
         approx = _product_form_value(eq, params, u)
         dev = abs(exact - approx) / max(1.0, abs(exact), abs(approx))
         worst = max(worst, dev)
-    return NumericCheck(worst < tol, worst, count, tol)
+    return NumericCheck(worst < TOLERANCE, worst, count, TOLERANCE)
 

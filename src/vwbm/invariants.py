@@ -152,8 +152,6 @@ class CoverCertificate(NamedTuple):
     """Containment certificate: k times the row span of S(n', m') lands in
     the row span of S(n, m), where k = nm / (n'm')."""
 
-    big: CurveParams
-    small: CurveParams
     scale: int
     generator_images: tuple[tuple[int, int, int, int], ...]
     holds: bool
@@ -175,7 +173,7 @@ def verify_cover(big: CurveParams, small: CurveParams) -> CoverCertificate:
     # the row span of S(n, m) is {(a, b, -a, -b) : (a, b) in G}
     holds = all(img[2:] == (-img[0] % N, -img[1] % N)
                 and _in_sorted(deck_big, img[:2]) for img in images)
-    return CoverCertificate(big, small, k, images, holds)
+    return CoverCertificate(k, images, holds)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +273,8 @@ def _ap_criterion(n: int, m: int) -> bool:
 class PrimitivityVerdict(NamedTuple):
     """Algebraic primitivity; not applicable on arithmetic curves.
 
-    When applicable, the number-theoretic criterion and the degree test
-    deg E = genus agree by construction (a mismatch raises).
+    When applicable, ``primitive`` is the number-theoretic criterion and
+    ``by_trace_degree`` is deg E = genus; ``verify`` checks that they agree.
     """
 
     applicable: bool
@@ -290,9 +288,6 @@ def algebraically_primitive(params: CurveParams) -> PrimitivityVerdict:
         return PrimitivityVerdict(False, False, None, None)
     crit = _ap_criterion(params.n, params.m)
     match = trace_degrees(params)[1] == genus(params)
-    if crit != match:
-        raise AssertionError(
-            f"primitivity criterion and degree test disagree at {params}")
     return PrimitivityVerdict(True, crit, crit, match)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from vwbm.cli import main
 from vwbm.exact import IntPolynomial
-from vwbm.generators import generator_equation, verify_equation_numeric
+from vwbm.generators import generator_equation
 from vwbm.rowspan import CurveParams, row_span
 from vwbm.verify import (VERIFY_NMAX_MAX, Check, CheckResult,
                          _cosine_root_identity, _sweep, _thread_cap,
@@ -90,13 +90,6 @@ def test_subcommands_share_validation_contract(capsys):
         err = capsys.readouterr().err
         assert code == 2
         assert "n, m must exceed 1 and nm >= 6" in err
-
-
-def test_numeric_check_accepts_exact_tolerance():
-    params = CurveParams(2, 7)
-    eq = generator_equation(params)
-    check = verify_equation_numeric(eq, params, Fraction(1, 10 ** 9))
-    assert check.ok and check.tolerance == 1e-9
 
 
 @pytest.mark.parametrize("m", range(2, 41))
