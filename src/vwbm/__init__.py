@@ -7,8 +7,7 @@ from .generators import (GeneratorEquation, generator_equation,
 from .invariants import (Classification, CurveReport, admissible_triangle_group,
                          algebraically_primitive, classify, covers,
                          curve_report, genus, hecke_scalars, is_arithmetic,
-                         lyapunov_spectrum, trace_degrees,
-                         trace_degrees_oracle, verify_cover)
+                         trace_degrees, trace_degrees_oracle, verify_cover)
 from .rowspan import CurveParams, Summand, row_span, summands
 from .surface import (CombSurface, Square, SymmetryLift, build_surface,
                       cylinder_preservation_check, lift_class_count,
@@ -22,8 +21,8 @@ __all__ = [
     "GeneratorEquation", "generator_equation", "verify_equation_numeric",
     "Classification", "CurveReport", "admissible_triangle_group",
     "algebraically_primitive", "classify", "covers", "curve_report", "genus",
-    "hecke_scalars", "is_arithmetic", "lyapunov_spectrum", "trace_degrees",
-    "trace_degrees_oracle", "verify_cover",
+    "hecke_scalars", "is_arithmetic", "trace_degrees", "trace_degrees_oracle",
+    "verify_cover",
     "CurveParams", "Summand", "row_span", "summands",
     "CombSurface", "Square", "SymmetryLift", "build_surface",
     "cylinder_preservation_check", "lift_class_count", "lift_sigma2",

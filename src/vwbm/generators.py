@@ -92,9 +92,10 @@ def generator_equation(params: CurveParams) -> GeneratorEquation:
 
 
 @lru_cache(maxsize=128)
-def _cosine_factors(case: str, m: int) -> tuple[float, ...]:
-    """Roots 2cos(.) of the square-free cosine product, as floats."""
-    if case == CASE_M_ODD:
+def _cosine_factors(m: int) -> tuple[float, ...]:
+    """Roots 2cos(.) of the square-free cosine product, as floats; they
+    depend only on the parity of m."""
+    if m % 2:
         return tuple(2.0 * math.cos(2.0 * math.pi * j / m)
                      for j in range(1, (m - 1) // 2 + 1))
     return tuple(2.0 * math.cos(math.pi * (2 * j - 1) / m)
@@ -105,7 +106,7 @@ def _product_form_value(eq: GeneratorEquation, params: CurveParams, u: float) ->
     """Evaluate the literal product of cosine factors at u (empty product = 1)."""
     n, m = params.n, params.m
     prod = 1.0
-    for root in _cosine_factors(eq.case, m):
+    for root in _cosine_factors(m):
         prod *= u - root
     if eq.case == CASE_M_ODD:
         return (u - 2.0) * prod * prod

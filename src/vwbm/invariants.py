@@ -1,10 +1,9 @@
 r"""Curve-level invariants of T(n, m).
 
-Everything here is exact: genus and uniformizer from closed forms, the
-Lyapunov spectrum from the summand data, covering relations both from the
-divisibility criterion and from a row-span containment certificate, and
-trace-field degrees both from closed forms and from a Galois-stabilizer
-computation in Q(zeta_2l).
+Everything here is exact: genus and uniformizer from closed forms,
+covering relations both from the divisibility criterion and from a
+row-span containment certificate, and trace-field degrees both from closed
+forms and from a Galois-stabilizer computation in Q(zeta_2l).
 
 Trace fields.  With zeta_k = exp(2 pi i / k), l = lcm(n, m):
 
@@ -17,7 +16,6 @@ the size of the pointwise Galois stabilizer of the generators.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .exact import (CyclotomicElement, _divisors, _is_prime, euler_phi,
@@ -100,17 +98,6 @@ def classify(params: CurveParams) -> Classification:
         uni = Uniformizer((n // 2, None, None))
     zeros = g // 2 if (n == m and n % 2 == 0) else g
     return Classification(is_arithmetic(params), uni, zeros, True)
-
-
-# ---------------------------------------------------------------------------
-# spectrum
-# ---------------------------------------------------------------------------
-
-def lyapunov_spectrum(params: CurveParams) -> tuple[Fraction, ...]:
-    """The nonnegative Lyapunov spectrum, one exponent per summand, in the
-    canonical (descending) summand order.  All entries lie in (0, 1] and are
-    multiples of gamma / (nm - n - m)."""
-    return tuple(s.lyapunov for s in summands(params))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -61,7 +60,7 @@ class Summand(namedtuple("Summand", "n m k j")):
     """The selected piece of T(n, m) at the lattice point (k, j), as ints.
 
     ``cli`` prints its angles (kappa, mu, nu) = (0, k/m, j/n), in units of
-    pi, from the ints; its exponent is a fraction formed when read.
+    pi, and its exponent (nm - nk - mj) / (nm - n - m) from the ints.
     ``tiling`` is set when mu and nu are unit fractions, i.e. when it tiles
     the hyperbolic plane.
     """
@@ -75,11 +74,6 @@ class Summand(namedtuple("Summand", "n m k j")):
         return (nm + w, nm - n * k + m * j, nm - w, nm + n * k - m * j)
 
     tiling = property(lambda self: self.m % self.k == 0 == self.n % self.j)
-
-    @property
-    def lyapunov(self) -> Fraction:
-        n, m, k, j = self
-        return Fraction(n * m - n * k - m * j, n * m - n - m)
 
 
 def _matrix_rows(n: int, m: int) -> tuple[Vector, Vector]:

@@ -63,10 +63,10 @@ classes is a quotient of group orders.
 """
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
-from .rowspan import CurveParams, _matrix_rows, _span_entries
+from .rowspan import CurveParams, _in_sorted, _matrix_rows, _span_entries
 
 WHITE = "w"
 BLACK = "b"
@@ -93,9 +93,7 @@ class ColumnSpan(NamedTuple):
     def order_of(self, pair: Pair) -> int:
         """Order of an element of (Z/NZ)^2 (componentwise lcm of orders)."""
         N = self.modulus
-        oa = N // gcd(pair[0] % N, N) if pair[0] % N else 1
-        ob = N // gcd(pair[1] % N, N) if pair[1] % N else 1
-        return oa * ob // gcd(oa, ob)
+        return lcm(*(N // gcd(v, N) for v in pair))
 
     def multiples(self, g: Pair) -> set[Pair]:
         """The cyclic subgroup <g>: k g for 0 <= k < the order of g."""
@@ -368,7 +366,7 @@ def lift_class_count(surface: CombSurface) -> int:
     c4 = len(_lift_candidates(surface, base4))
     # K = {a in G : swap a = a, 2a = 0} lies in {(0, 0), (N/2, N/2)}
     half = surface.span.modulus // 2
-    kernel = 1 + ((half, half) in surface.span.elements)
+    kernel = 1 + _in_sorted(surface.span.elements, (half, half))
     classes, rest = divmod(c2 * c4 * kernel, len(surface.span.elements))
     if rest:
         raise AssertionError("the conjugation orbits do not divide the census")

@@ -421,8 +421,7 @@ def _spectrum_pair(ctx: PairContext) -> str | None:
         if a + c != N or b + d != N or not (0 < mu_n < N and 0 < nu_n < N):
             return f"({n},{m}): bad angle triple at {r}"
     # at (1, 1) the lattice law gives min r = nm - n - m = chi, exponent 1
-    top = sums[0]
-    if (top.k, top.j) != (1, 1):
+    if not sums or (sums[0].k, sums[0].j) != (1, 1):
         return f"({n},{m}): top exponent is not 1 at (0, 1/m, 1/n)"
     # a tiling triangle (0, 1/m', 1/n') is the lattice point (m/m', n/n')
     flagged = {(s.k, s.j) for s in sums if s.tiling}
@@ -443,8 +442,11 @@ def _swap_pair(ctx: PairContext) -> str | None:
     a, b = ctx.params, CurveParams(m, n)
     if inv.genus(a) != inv.genus(b):
         return f"({n},{m}): genus changes under swap"
-    # in canonical order equal multisets are equal tuples, so no sort
-    if inv.lyapunov_spectrum(a) != inv.lyapunov_spectrum(b):
+    # the swap keeps the denominator nm - n - m, so compare the numerators
+    # nm - nk - mj; in canonical order equal multisets are equal lists
+    numerators = [[s.n * s.m - s.n * s.k - s.m * s.j for s in sums]
+                  for sums in (ctx.summands, summands(b))]
+    if numerators[0] != numerators[1]:
         return f"({n},{m}): spectrum changes under swap"
     if inv.is_arithmetic(a) != inv.is_arithmetic(b):
         return f"({n},{m}): arithmeticity changes under swap"

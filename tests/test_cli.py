@@ -2,6 +2,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +15,8 @@ from hypothesis import strategies as st
 from vwbm.cli import FORMATS, _ratio, _summand_dict, main
 from vwbm.rowspan import CurveParams, summands
 from vwbm.verify import valid_pairs
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -282,22 +287,30 @@ def test_report_commands_build_no_deck_group(capsys):
     assert rowspan._span_entries.cache_info().misses == 0
 
 
-def test_report_commands_form_no_fraction(capsys, monkeypatch):
+def test_report_commands_form_no_fraction():
     # a summand is its lattice point (n, m, k, j), and the cli prints its
-    # angles and exponent from those ints
-    from vwbm import invariants, rowspan
-    commands = ([("info", "12", "8", "--format", f) for f in FORMATS]
-                + [("spectrum", "6", "10")]
-                + [("table", "7", "9", "--format", f) for f in FORMATS])
-    expected = [run(capsys, *argv) for argv in commands]
-
-    def no_fraction(*args):
-        raise AssertionError("a report command formed a Fraction")
-
-    monkeypatch.setattr(rowspan, "Fraction", no_fraction)
-    monkeypatch.setattr(invariants, "Fraction", no_fraction)
-    assert [run(capsys, *argv) for argv in commands] == expected
-    assert [code for code, _, _ in expected] == [0] * len(commands)
+    # angles and exponent from those ints: no report command loads fractions
+    # or decimal, here in a fresh interpreter that has loaded neither
+    code = """
+import io, sys
+from contextlib import redirect_stdout
+from vwbm.cli import FORMATS, main
+commands = ([["info", "12", "8", "--format", f] for f in FORMATS]
+            + [["spectrum", "6", "10"]]
+            + [["table", "7", "9", "--format", f] for f in FORMATS])
+codes = []
+for argv in commands:
+    with redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(set(codes), "fractions" in sys.modules, "decimal" in sys.modules)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["{0}", "False", "False"]
 
 
 @given(st.integers(min_value=0, max_value=10 ** 12),

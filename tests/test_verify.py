@@ -8,9 +8,9 @@ from vwbm.generators import generator_equation
 from vwbm.rowspan import CurveParams, row_span
 from vwbm.verify import (VERIFY_NMAX_MAX, Check, CheckResult,
                          _cosine_root_identity, _sweep, _thread_cap,
-                         check_generators, check_klein_orbits,
-                         check_rowspan_identities, check_spectrum_laws,
-                         check_swap_symmetry, run_suite, valid_pairs)
+                         check_klein_orbits, check_rowspan_identities,
+                         check_spectrum_laws, check_swap_symmetry, run_suite,
+                         valid_pairs)
 
 
 def test_valid_pairs_filter():
@@ -168,8 +168,11 @@ def test_all_levels_build_each_shared_object_once_per_pair(monkeypatch):
     assert all(r.passed for r in run_suite(10, "all"))
     assert set(seen) == set(names)
     pairs = valid_pairs(10)
-    for name in ("row_span", "summands", "build_surface"):
+    for name in ("row_span", "build_surface"):
         assert [(p.n, p.m) for p in seen[name]] == pairs
+    # the swap check also lists the summands of T(m, n), once per n <= m
+    assert [(p.n, p.m) for p in seen["summands"]] == [
+        q for n, m in pairs for q in ([(n, m), (m, n)] if n <= m else [(n, m)])]
     # the orbits are taken of the same span the rowspan level checks
     assert seen["klein_orbits"] == [row_span(CurveParams(*p)) for p in pairs]
 
@@ -189,10 +192,13 @@ def test_a_failed_shared_build_fails_each_check_that_reads_it(monkeypatch):
     results = run_suite(4, "all")
     assert len(results) == 10
     readers = ("Klein orbit selection", "genus triple agreement",
-               "spectrum laws and tiling correspondence")
+               "spectrum laws and tiling correspondence",
+               "invariants agree under (n, m) swap")
     assert {r.name: r.detail for r in results if not r.passed} == {
         name: "(2,3): ValueError: no summands" for name in readers}
-    assert len(calls) == len(readers) * len(valid_pairs(4))
+    # the swap check reads the summands only at n <= m
+    pairs = valid_pairs(4)
+    assert len(calls) == 3 * len(pairs) + sum(n <= m for n, m in pairs) == 29
 
 
 def test_verify_refuses_an_unmeasured_nmax(monkeypatch, capsys):
@@ -247,8 +253,9 @@ def test_trace_level_checks_the_hecke_degree_at_every_pair(monkeypatch):
 
 def test_selection_checks_pin_the_chosen_orbit_member(monkeypatch):
     # the sigma2 image (b, a, N - b, N - a) of each summand, the lattice
-    # point (-k, j), still meets every free orbit once; both checks must
-    # see that it is not the one selected
+    # point (-k, j), still meets every free orbit once; the spectrum check
+    # must see that it is not the one selected (the Klein check's failure
+    # is the klein row of test_mutations.MUTATIONS)
     from vwbm import rowspan, verify
     monkeypatch.setenv("VWBM_THREADS", "1")
     params = CurveParams(5, 6)
@@ -260,9 +267,8 @@ def test_selection_checks_pin_the_chosen_orbit_member(monkeypatch):
         return tuple(s._replace(k=-s.k) for s in rowspan.summands(params))
 
     monkeypatch.setattr(verify, "summands", sigma2_images)
-    klein, spectrum = check_klein_orbits(8), check_spectrum_laws(8)
-    assert not klein.passed and not spectrum.passed
-    assert klein.detail == "(2,3): summands differ from the t-value selection"
+    spectrum = check_spectrum_laws(8)
+    assert not spectrum.passed
     assert spectrum.detail.startswith("(2,3): mu, nu, lambda do not match")
 
 
@@ -274,7 +280,9 @@ def test_spectrum_level_pins_the_printed_order(monkeypatch, capsys):
 
     def by_exponent_then_nu(params):
         return tuple(sorted(rowspan.summands(params),
-                            key=lambda s: (-s.lyapunov, Fraction(s.j, s.n))))
+                            key=lambda s: (-Fraction(
+                                s.n * s.m - s.n * s.k - s.m * s.j,
+                                s.n * s.m - s.n - s.m), Fraction(s.j, s.n))))
 
     monkeypatch.setattr(verify, "summands", by_exponent_then_nu)
     code = main(["verify", "16", "--level", "spectrum"])
@@ -282,6 +290,37 @@ def test_spectrum_level_pins_the_printed_order(monkeypatch, capsys):
     assert code == 1
     assert lines[0].startswith("FAIL  spectrum laws and tiling correspondence")
     assert "out of canonical order" in lines[0]
+
+
+def test_spectrum_level_fails_on_an_empty_summand_list(monkeypatch, capsys):
+    # no top point (1, 1) is a failed law, not an IndexError
+    from vwbm import verify
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    monkeypatch.setattr(verify, "summands", lambda params: ())
+    code = main(["verify", "4", "--level", "spectrum"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL  spectrum laws and tiling correspondence (8 pairs)  "
+        "[(2,3): top exponent is not 1 at (0, 1/m, 1/n)]",
+        "PASS  invariants agree under (n, m) swap (8 pairs)",
+        "FAIL  overall (nmax=4)"]
+
+
+def test_swap_check_compares_the_spectra_of_both_orders(monkeypatch):
+    # T(n, m) loses its last summand when n > m: the swap check, which reads
+    # the summands of (n, m) and of (m, n), must see the spectra differ
+    from vwbm import rowspan, verify
+    monkeypatch.setenv("VWBM_THREADS", "1")
+
+    def short_when_swapped(params):
+        sums = rowspan.summands(params)
+        return sums[:-1] if params.n > params.m and len(sums) > 1 else sums
+
+    monkeypatch.setattr(verify, "summands", short_when_swapped)
+    failed = {r.name: r.detail for r in run_suite(8, "spectrum")
+              if not r.passed}
+    assert failed["invariants agree under (n, m) swap"] == (
+        "(2,5): spectrum changes under swap")
 
 
 def test_a_check_that_raises_fails_at_its_pair(monkeypatch, capsys):
@@ -299,22 +338,6 @@ def test_a_check_that_raises_fails_at_its_pair(monkeypatch, capsys):
         "FAIL  generator equations exact vs numeric (8 pairs)  "
         "[(2,3): ValueError: inexact polynomial division]",
         "FAIL  overall (nmax=4)"]
-
-
-def test_generators_check_fails_on_the_one_form_law(monkeypatch):
-    # D = rhs breaks D^2 = (u - 2) rhs: the check names the law, no raise
-    from vwbm import generators
-    monkeypatch.setenv("VWBM_THREADS", "1")
-    real = generators.generator_equation
-
-    def rhs_as_denominator(params):
-        eq = real(params)
-        return eq._replace(differential_denominator=eq.rhs)
-
-    monkeypatch.setattr(generators, "generator_equation", rhs_as_denominator)
-    result = check_generators(8)
-    assert not result.passed
-    assert result.detail == "(2,3): one-form law D^2 = (u - 2) rhs fails"
 
 
 def test_a_raising_check_leaves_the_other_checks_running(monkeypatch, capsys):
