@@ -50,15 +50,22 @@ def test_every_public_name_has_a_caller():
     assert uncalled == []
 
 
+def test_cli_import_leaves_out_multiprocessing():
+    # only a parallel verify needs the process pool; it imports it itself
+    proc = run_fresh("-c", "import sys, vwbm.cli; "
+                     "print('multiprocessing' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_cli_import_loads_every_layer_and_no_dataclasses():
     # the benchmark tracer wraps layer functions only in modules already
     # loaded, so every layer is imported eagerly.  The value types are
-    # tuples, the exponents are printed from ints, only a parallel verify
-    # imports the process pool and only csv output imports csv
+    # tuples, the exponents are printed from ints and only csv output
+    # imports csv
     layers = ["vwbm.exact", "vwbm.rowspan", "vwbm.generators",
               "vwbm.invariants", "vwbm.surface", "vwbm.verify"]
-    absent = ["multiprocessing", "dataclasses", "inspect", "csv",
-              "fractions", "decimal"]
+    absent = ["dataclasses", "inspect", "csv", "fractions", "decimal"]
     proc = run_fresh("-c", "import sys, vwbm.cli; "
                      f"print(*(m in sys.modules for m in {layers + absent!r}))")
     assert proc.returncode == 0, proc.stderr
