@@ -7,18 +7,22 @@ exponent tables), ``spectrum``, ``covers``, ``generator``, ``tracefield``,
 hands its json payload, csv rows and md lines to the one writer ``_emit``.
 All numeric output is exact rational strings such as "3/5";
 the only floating point ever printed is the deviation reported by the
-generator numeric cross-check, in scientific notation.
+generator numeric cross-check, in scientific notation.  A well-formed command
+imports neither argparse nor json: ``_fast_args`` reads its argv from
+``COMMANDS``, argparse parses only help, ``--version`` and malformed argv,
+and ``_dumps`` writes json with the bytes of ``json.dumps``.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
+Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
+141 when the reader closes stdout.
 Data goes to stdout, diagnostics to stderr.  VWBM_THREADS caps the worker
 pool used by the verification sweeps.
 """
 from __future__ import annotations
 
-import argparse
-import json
+import os
 import sys
 from math import gcd
+from types import SimpleNamespace
 from typing import Iterable
 
 from . import __version__
@@ -112,6 +116,26 @@ def _report_dict(report: CurveReport) -> dict:
     }
 
 
+def _dumps(value, pad: str = "") -> str:
+    """``json.dumps(value, indent=2)`` of str-keyed dicts, lists, tuples, str,
+    int, bool and None, with ``pad`` before each line after the first."""
+    if isinstance(value, str):
+        if value.isascii() and value.isprintable() and not (
+                '"' in value or "\\" in value):
+            return f'"{value}"'
+        import json  # escaping stays json's own
+        return json.dumps(value)
+    if value is None or isinstance(value, bool):
+        return {None: "null", True: "true", False: "false"}[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner, ends = pad + "  ", "{}" if isinstance(value, dict) else "[]"
+    items = ([f"{_dumps(k)}: {_dumps(v, inner)}" for k, v in value.items()]
+             if isinstance(value, dict) else [_dumps(v, inner) for v in value])
+    return (f"{ends[0]}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{pad}{ends[1]}") if items else ends
+
+
 def _emit(args, payload, header, rows, md) -> int:
     """Print ``args.format``, calling only its builder: ``payload()`` for json
     (a dict, or an iterator streamed as a list with the bytes of one
@@ -125,12 +149,12 @@ def _emit(args, payload, header, rows, md) -> int:
         for text in md():
             print(text)
     elif isinstance(value := payload(), dict):
-        print(json.dumps(value, indent=2))
+        print(_dumps(value))
     else:
         opened = False
         for item in value:
             sys.stdout.write((",\n  " if opened else "[\n  ")
-                             + json.dumps(item, indent=2).replace("\n", "\n  "))
+                             + _dumps(item, "  "))
             opened = True
         print("\n]" if opened else "[]")
     return 0
@@ -343,51 +367,98 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-# (name, help, integer arguments, handler), in the order --help lists them
+# (name, help, integers, options, handler), in the order --help lists them
 NM = ("n", "m")
+REPORT = ("--format",)
 COMMANDS = (
-    ("info", "full report for one curve", NM, cmd_info),
-    ("table", "angle/exponent tables for a grid", ("nmax", "mmax"), cmd_table),
-    ("spectrum", "Lyapunov spectrum", NM, cmd_spectrum),
-    ("covers", "covered curves T(n', m')", NM, cmd_covers),
-    ("generator", "generating curve and one-form", NM, cmd_generator),
-    ("tracefield", "trace-field degrees and Hecke data", NM, cmd_tracefield),
-    ("surface", "square-tiled model of S(n, m)", NM, cmd_surface),
-    ("verify", "run the consistency sweeps", ("nmax",), cmd_verify),
+    ("info", "full report for one curve", NM, REPORT, cmd_info),
+    ("table", "angle/exponent tables for a grid", ("nmax", "mmax"), REPORT,
+     cmd_table),
+    ("spectrum", "Lyapunov spectrum", NM, REPORT, cmd_spectrum),
+    ("covers", "covered curves T(n', m')", NM, ("--certify", "--format"),
+     cmd_covers),
+    ("generator", "generating curve and one-form", NM, REPORT, cmd_generator),
+    ("tracefield", "trace-field degrees and Hecke data", NM, REPORT,
+     cmd_tracefield),
+    ("surface", "square-tiled model of S(n, m)", NM, REPORT, cmd_surface),
+    ("verify", "run the consistency sweeps", ("nmax",), ("--level",),
+     cmd_verify),
 )
+# add_argument keywords of each option; _fast_args reads the defaults too
+OPTIONS = {
+    "--format": {"choices": FORMATS, "default": "json"},
+    "--certify": {"action": "store_true", "default": False,
+                  "help": "include row-span containment certificates"},
+    "--level": {"default": "all",
+                "help": "all, rowspan, genus, trace-only, covers, lifts, "
+                        "generators, or spectrum"},
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="vwbm",
         description="Exact invariants of the Veech-Ward-Bouw-Moller "
                     "Teichmuller curves T(n, m).")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, text, ints, fn in COMMANDS:
+    for name, text, ints, options, fn in COMMANDS:
         p = subs.add_parser(name, help=text)
         for arg in ints:
             p.add_argument(arg, type=int)
-        if name == "covers":
-            p.add_argument("--certify", action="store_true",
-                           help="include row-span containment certificates")
-        if name == "verify":
-            p.add_argument("--level", default="all",
-                           help="all, rowspan, genus, trace-only, covers, "
-                                "lifts, generators, or spectrum")
-        else:
-            p.add_argument("--format", choices=FORMATS, default="json")
+        for option in options:
+            p.add_argument(option, **OPTIONS[option])
         p.set_defaults(fn=fn)
     return parser
 
 
+def _fast_args(argv: list[str]):
+    """``build_parser().parse_args(argv)`` for argv with exactly one parse;
+    None for all else: help, --version, abbreviations and every error."""
+    row = next((row for row in COMMANDS if argv and row[0] == argv[0]), None)
+    if row is None:
+        return None
+    name, _, names, options, fn = row
+    args = SimpleNamespace(command=name, fn=fn, **{
+        option[2:]: OPTIONS[option]["default"] for option in options})
+    ints, tokens = [], iter(argv[1:])
+    for token in tokens:
+        option, eq, value = token.partition("=")
+        if token.isascii() and token.isdigit():
+            try:  # past sys.get_int_max_str_digits(), argparse's error
+                ints.append(int(token))
+            except ValueError:
+                return None
+        elif token == "--certify" and token in options:
+            args.certify = True
+        elif option in options and option != "--certify":
+            value = value if eq else next(tokens, "")
+            if (not value or value.startswith("-")
+                    or option == "--format" and value not in FORMATS):
+                return None
+            setattr(args, option[2:], value)
+        else:
+            return None
+    if len(ints) != len(names):
+        return None
+    args.__dict__.update(zip(names, ints))
+    return args
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _fast_args(argv) or build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout: flush what is left
+        # to /dev/null, and exit 128 + SIGPIPE as a C tool on a closed pipe
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -5,14 +5,16 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vwbm.cli import FORMATS, _ratio, _summand_dict, main
+from vwbm.cli import (COMMANDS, FORMATS, _dumps, _fast_args, _ratio,
+                      _summand_dict, build_parser, main)
 from vwbm.rowspan import CurveParams, summands
 from vwbm.verify import valid_pairs
 
@@ -23,6 +25,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_env():
+    """The environment of a fresh interpreter that imports vwbm from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -290,27 +300,42 @@ def test_report_commands_build_no_deck_group(capsys):
 def test_report_commands_form_no_fraction():
     # a summand is its lattice point (n, m, k, j), and the cli prints its
     # angles and exponent from those ints: no report command loads fractions
-    # or decimal, here in a fresh interpreter that has loaded neither
+    # or decimal, here in a fresh interpreter that has loaded neither.
+    # Well-formed argv loads neither argparse nor json either; a site hook
+    # may have loaded them before vwbm, so only new loads count
     code = """
 import io, sys
 from contextlib import redirect_stdout
+before = {"argparse", "json"} & set(sys.modules)
 from vwbm.cli import FORMATS, main
 commands = ([["info", "12", "8", "--format", f] for f in FORMATS]
             + [["spectrum", "6", "10"]]
-            + [["table", "7", "9", "--format", f] for f in FORMATS])
+            + [["table", "7", "9", "--format", f] for f in FORMATS]
+            + [["verify", "4", "--level", "covers"]])
 codes = []
 for argv in commands:
     with redirect_stdout(io.StringIO()):
         codes.append(main(argv))
-print(set(codes), "fractions" in sys.modules, "decimal" in sys.modules)
+print(set(codes), "fractions" in sys.modules, "decimal" in sys.modules,
+      sorted({"argparse", "json"} & set(sys.modules) - before))
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", code], env=fresh_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["{0}", "False", "False"]
+    assert proc.stdout.split() == ["{0}", "False", "False", "[]"]
+
+
+def test_closed_stdout_exits_141_quietly():
+    # a reader that stops early, as in `vwbm table 30 30 --format csv |
+    # head -1`, gets no traceback and the exit code of a C tool on SIGPIPE
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vwbm.cli", "table", "30", "30", "--format",
+         "csv"], env=fresh_env(), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"n,m,kappa,mu,nu,lyapunov,tiling\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert (proc.returncode, err) == (141, b"")
 
 
 @given(st.integers(min_value=0, max_value=10 ** 12),
@@ -424,6 +449,60 @@ def test_top_level_help_lists_the_subcommands_in_order(capsys, monkeypatch):
         ["verify", "run the consistency sweeps"],
     ]
     assert _help(capsys, "--version") == "0.1.0\n"
+
+
+ARGV_TOKENS = ["-h", "--", "--form", "--format", "--format=", "--format=md",
+               *FORMATS, "--level", "--level=", "--level=x", "--certify",
+               "--certify=1", "3", "03", "-3", "+3", "\u0663", "x", "9" * 5000]
+NAMES = [row[0] for row in COMMANDS]
+
+
+@settings(max_examples=1000)
+@given(st.sampled_from(NAMES) | st.sampled_from(NAMES + ARGV_TOKENS),
+       st.lists(st.sampled_from(["3", "03"])
+                | st.sampled_from(NAMES + ARGV_TOKENS), max_size=5))
+@example("info", ["3", "--format", "md", "03"])
+@example("covers", ["3", "4", "--certify", "--certify", "--format=csv"])
+@example("covers", ["3", "4", "--certify=1"])
+@example("verify", ["--level", "x", "3", "--level=genus"])
+@example("verify", ["3", "--level"])
+@example("info", ["3", "4", "--level", "x"])
+@example("info", ["3", "4", "--format", "x"])
+@example("table", ["3", "9" * 5000])
+def test_fast_args_agrees_with_argparse(first, rest):
+    # the reader answers only argv that argparse parses, and then as it does;
+    # about half the tokens are digits, so that much of argv is well formed
+    argv = [first, *rest]
+    fast = _fast_args(argv)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            parsed = vars(build_parser().parse_args(argv))
+    except SystemExit:
+        assert fast is None
+    else:
+        assert fast is None or vars(fast) == parsed
+
+
+JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\\n\x00\x7f\xe9'))
+
+
+@given(st.recursive(
+    st.none() | st.booleans() | st.integers() | JSON_TEXT,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner)), max_leaves=20))
+@example({"a": [], "b": {}, "c": [1, [True, None]], "d\"": "\u2603\\"})
+def test_dumps_matches_json(value):
+    assert _dumps(value) == json.dumps(value, indent=2)
+
+
+def test_malformed_argv_prints_argparse_error(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["info", "x", "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: vwbm info [-h] [--format {json,csv,md}] n m\n"
+        "vwbm info: error: argument n: invalid int value: 'x'\n")
 
 
 def test_info_json_and_csv_build_no_md_table(capsys, monkeypatch):
