@@ -22,8 +22,8 @@ from __future__ import annotations
 import os
 import sys
 from math import gcd
+from collections.abc import Iterable
 from types import SimpleNamespace
-from typing import Iterable
 
 from . import __version__
 from .exact import poly_str

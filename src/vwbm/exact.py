@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Sequence
 
 
 # Value types are tuples, not data classes: those cost ~30 ms of start-up.

@@ -27,8 +27,8 @@ cross-check oracle.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 from .exact import IntPolynomial, chebyshev_c, poly_str
 from .rowspan import CurveParams
@@ -41,18 +41,15 @@ CASE_M_EVEN_N_ODD = "m_even_n_odd"
 CASE_BOTH_EVEN = "both_even"
 
 
-class GeneratorEquation(NamedTuple):
+class GeneratorEquation(namedtuple("GeneratorEquation", (
+        "case y_exponent rhs rhs_factored differential_denominator"))):
     """y^y_exponent = rhs(u), with one-form y du / differential_denominator.
 
     ``rhs_factored`` is (a, Q, mult) with rhs = (u - 2)^a * Q^mult for the
     square-free monic factor Q.
     """
 
-    case: str
-    y_exponent: int
-    rhs: IntPolynomial
-    rhs_factored: tuple[int, IntPolynomial, int]
-    differential_denominator: IntPolynomial
+    __slots__ = ()
 
     def differential_text(self) -> str:
         return f"y du / ({poly_str(self.differential_denominator)})"
@@ -115,11 +112,9 @@ def _product_form_value(eq: GeneratorEquation, params: CurveParams, u: float) ->
     return (u - 2.0) ** (n // 2) * prod
 
 
-class NumericCheck(NamedTuple):
-    ok: bool
-    max_relative_deviation: float
-    sample_points: int
-    tolerance: float
+class NumericCheck(namedtuple(
+        "NumericCheck", "ok max_relative_deviation sample_points tolerance")):
+    __slots__ = ()
 
 
 def verify_equation_numeric(eq: GeneratorEquation,
@@ -130,9 +125,10 @@ def verify_equation_numeric(eq: GeneratorEquation,
     ``verify`` all apply and print.
 
     The rhs is evaluated exactly and rounded once at the end: a sample
-    point is u = k / q with q a power of two, so q^d rhs(u) is the integer
-    sum of c_j k^j q^(d - j), and int / int rounds correctly.  The deviation
-    therefore measures only the error of the floating-point product form.
+    point is u = k / 2^s, so 2^(sd) rhs(u) is the integer sum of c_j k^j
+    2^(s(d - j)), a Horner sum in k of shifted c_j, and int / int rounds
+    correctly.  The deviation therefore measures only the error of the
+    floating-point product form.  A rhs beyond the float range raises.
     """
     deg = eq.rhs.degree()
     count = 2 * deg + 1
@@ -140,11 +136,18 @@ def verify_equation_numeric(eq: GeneratorEquation,
     for i in range(count):
         u = -3.0 + 6.0 * i / (count - 1)
         k, q = u.as_integer_ratio()
-        scaled, power = 0, 1
+        s = q.bit_length() - 1
+        scaled = shift = 0
         for c in reversed(eq.rhs.coeffs):
-            scaled, power = scaled * k + c * power, power * q
-        exact = scaled / q ** deg
-        approx = _product_form_value(eq, params, u)
+            scaled, shift = scaled * k + (c << shift), shift + s
+        try:
+            exact = scaled / (1 << s * deg)
+            approx = _product_form_value(eq, params, u)
+        except OverflowError:
+            approx = math.inf
+        if not math.isfinite(approx):
+            raise ValueError(
+                f"rhs of degree {deg} overflows a float at u = {u:g}")
         dev = abs(exact - approx) / max(1.0, abs(exact), abs(approx))
         worst = max(worst, dev)
     return NumericCheck(worst < TOLERANCE, worst, count, TOLERANCE)

@@ -16,13 +16,13 @@ the size of the pointwise Galois stabilizer of the generators.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .exact import (CyclotomicElement, _divisors, _is_prime, euler_phi,
                     subfield_degree)
-from .generators import GeneratorEquation, generator_equation
-from .rowspan import (CurveParams, Summand, _in_sorted, _matrix_rows,
-                      _span_entries, summands)
+from .generators import generator_equation
+from .rowspan import (CurveParams, _in_sorted, _matrix_rows, _span_entries,
+                      summands)
 
 ARITHMETIC_PAIRS = frozenset(
     {(2, 3), (2, 4), (2, 6), (3, 3), (4, 4), (6, 6)})
@@ -52,16 +52,16 @@ def is_arithmetic(params: CurveParams) -> bool:
     return tuple(sorted((params.n, params.m))) in ARITHMETIC_PAIRS
 
 
-class Uniformizer(NamedTuple):
+class Uniformizer(namedtuple("Uniformizer", "signature index_two",
+                             defaults=(False,))):
     """Label for the uniformizing Fuchsian group of T(n, m).
 
     ``signature`` entries are integers or None for a cusp; ``index_two`` is
     set when the group is the index-two subgroup of the named triangle
-    group rather than the triangle group itself.
+    group rather than the triangle group itself (default False).
     """
 
-    signature: tuple[int | None, int | None, int | None]
-    index_two: bool = False
+    __slots__ = ()
 
     def label(self) -> str:
         inner = ",".join("oo" if v is None else str(v) for v in self.signature)
@@ -74,11 +74,9 @@ class Uniformizer(NamedTuple):
         return (self.index_two, key)
 
 
-class Classification(NamedTuple):
-    arithmetic: bool
-    uniformizer: Uniformizer
-    zero_count: int
-    zeros_equal_order: bool
+class Classification(namedtuple("Classification", (
+        "arithmetic uniformizer zero_count zeros_equal_order"))):
+    __slots__ = ()
 
 
 def classify(params: CurveParams) -> Classification:
@@ -135,13 +133,12 @@ def covers(params: CurveParams) -> tuple[CurveParams, ...]:
     return tuple(sorted(out, key=lambda p: (p.n, p.m)))
 
 
-class CoverCertificate(NamedTuple):
+class CoverCertificate(namedtuple("CoverCertificate",
+                                  "scale generator_images holds")):
     """Containment certificate: k times the row span of S(n', m') lands in
-    the row span of S(n, m), where k = nm / (n'm')."""
+    the row span of S(n, m), where k = nm / (n'm') is the ``scale``."""
 
-    scale: int
-    generator_images: tuple[tuple[int, int, int, int], ...]
-    holds: bool
+    __slots__ = ()
 
 
 def verify_cover(big: CurveParams, small: CurveParams) -> CoverCertificate:
@@ -216,13 +213,12 @@ def admissible_triangle_group(params: CurveParams) -> bool:
     return deg_f != 2 * deg_e
 
 
-class HeckeScalars(NamedTuple):
+class HeckeScalars(namedtuple("HeckeScalars", "scalars field_degree")):
     """The three deck-transformation scalars acting on the generating form,
     as exact elements of Q(zeta_N), N = 2nm, and the degree of the field
     they generate (always deg E)."""
 
-    scalars: tuple[CyclotomicElement, CyclotomicElement, CyclotomicElement]
-    field_degree: int
+    __slots__ = ()
 
 
 def hecke_scalars(params: CurveParams) -> HeckeScalars:
@@ -257,17 +253,15 @@ def _ap_criterion(n: int, m: int) -> bool:
     return other >= 2 and other & (other - 1) == 0
 
 
-class PrimitivityVerdict(NamedTuple):
+class PrimitivityVerdict(namedtuple("PrimitivityVerdict", (
+        "applicable primitive by_criterion by_trace_degree"))):
     """Algebraic primitivity; not applicable on arithmetic curves.
 
     When applicable, ``primitive`` is the number-theoretic criterion and
     ``by_trace_degree`` is deg E = genus; ``verify`` checks that they agree.
     """
 
-    applicable: bool
-    primitive: bool
-    by_criterion: bool | None
-    by_trace_degree: bool | None
+    __slots__ = ()
 
 
 def algebraically_primitive(params: CurveParams) -> PrimitivityVerdict:
@@ -282,21 +276,11 @@ def algebraically_primitive(params: CurveParams) -> PrimitivityVerdict:
 # aggregate report
 # ---------------------------------------------------------------------------
 
-class CurveReport(NamedTuple):
-    params: CurveParams
-    genus: int
-    summand_list: tuple[Summand, ...]
-    arithmetic: bool
-    uniformizer: Uniformizer
-    zeros: tuple[int, bool]
-    covers: tuple[CurveParams, ...]
-    trace_degree_F: int
-    trace_degree_E: int
-    admissible_triangle_group: bool
-    primitivity: PrimitivityVerdict
-    hecke_field_degree: int
-    generator: GeneratorEquation
-    notes: tuple[str, ...]
+class CurveReport(namedtuple("CurveReport", (
+        "params genus summand_list arithmetic uniformizer zeros covers "
+        "trace_degree_F trace_degree_E admissible_triangle_group "
+        "primitivity hecke_field_degree generator notes"))):
+    __slots__ = ()
 
 
 def curve_report(params: CurveParams) -> CurveReport:

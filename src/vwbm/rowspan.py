@@ -114,14 +114,30 @@ def span_closure(gens, modulus: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=64)
 def _span_entries(n: int, m: int) -> tuple[tuple[int, int], ...]:
-    """The deck group G, sorted: (mu + nv, mu - nv) and that plus (nm, nm) for
-    0 <= u < n, 0 <= v < m, with u = v mod 2 if n and m are both even; i.e.
-    2m | a + b, 2n | a - b and, if both even, (a + b)/2m = (a - b)/2n mod 2."""
-    nm, N = n * m, 2 * n * m
-    return tuple(sorted(
-        ((m * u + n * v + h) % N, (m * u - n * v + h) % N)
-        for u in range(n) for v in range(m)
-        if n % 2 or m % 2 or (u - v) % 2 == 0 for h in (0, nm)))
+    """The deck group G in lex order: the (a, b) with 2m | a + b, 2n | a - b
+    and, if n and m are both even, (a + b)/2m = (a - b)/2n mod 2.
+
+    Listed with no sort: with g = gcd(n, m), the b for a given a exist only
+    when g | a, and form the progression b0, b0 + N/g, .. of g terms, with
+    b0(tg) = t d mod N/g for d = b0(g).  A step N/g along it moves (a + b)/2m
+    - (a - b)/2n by n/g + m/g, so if both are even the parity condition keeps
+    every other term (n/g + m/g odd) or all or none of them (even).
+    """
+    g, N = gcd(n, m), 2 * n * m
+    step = N // g
+    d = next(b for b in range(2 * m - g, step, 2 * m)
+             if (g - b) % (2 * n) == 0)
+    firsts, starts = range(0, N, g), [t * d % step for t in range(step)]
+    stride = step
+    if n % 2 == 0 == m % 2:
+        # a start of the wrong parity moves on one term, or past N
+        skip, stride = (step, 2 * step) if (n // g + m // g) % 2 else (N, step)
+        starts = [b + skip * (((a + b) // (2 * m) - (a - b) // (2 * n)) % 2)
+                  for a, b in zip(firsts, starts)]
+    if stride == N:                    # one term per progression
+        return tuple(zip(firsts, starts))
+    return tuple((a, b) for a, s in zip(firsts, starts)
+                 for b in range(s, N, stride))
 
 
 def row_span(params: CurveParams) -> tuple[Vector, ...]:

@@ -63,8 +63,8 @@ classes is a quotient of group orders.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd, lcm
-from typing import NamedTuple
 
 from .rowspan import CurveParams, _in_sorted, _matrix_rows, _span_entries
 
@@ -78,17 +78,14 @@ FIXABLE_TAGS = {"sigma2": ("34", "12"), "sigma4": ("14", "23")}
 Pair = tuple[int, int]
 
 
-class Square(NamedTuple):
-    label: Pair
-    color: str
+class Square(namedtuple("Square", "label color")):
+    __slots__ = ()
 
 
-class ColumnSpan(NamedTuple):
+class ColumnSpan(namedtuple("ColumnSpan", "modulus columns elements")):
     """The deck group: subgroup of (Z/NZ)^2 spanned by the matrix columns."""
 
-    modulus: int
-    columns: tuple[Pair, Pair, Pair, Pair]
-    elements: tuple[Pair, ...]
+    __slots__ = ()
 
     def order_of(self, pair: Pair) -> int:
         """Order of an element of (Z/NZ)^2 (componentwise lcm of orders)."""
@@ -101,11 +98,10 @@ class ColumnSpan(NamedTuple):
         return {(k * g[0] % N, k * g[1] % N) for k in range(self.order_of(g))}
 
 
-class CombSurface(NamedTuple):
+class CombSurface(namedtuple("CombSurface", "params span")):
     """S(n, m) as colored squares over the column span, with deck action."""
 
-    params: CurveParams
-    span: ColumnSpan
+    __slots__ = ()
 
     # listed on demand, never stored: a white and a black square per label
     squares = property(lambda self: tuple(
@@ -146,14 +142,13 @@ def build_surface(params: CurveParams) -> CombSurface:
 PROBES = (Square((0, 0), WHITE), Square((0, 0), BLACK))
 
 
-class SymmetryLift(NamedTuple):
+class SymmetryLift(namedtuple("SymmetryLift",
+                              "surface kind variant shifts")):
     """A lift of a pillowcase symmetry: the square c of color k goes to
-    linear(c) + shifts[k] with the color flipped, shifts = (white, black)."""
+    linear(c) + shifts[k] with the color flipped, shifts = (white, black).
+    ``kind`` is "sigma2" or "sigma4", and ``variant`` is None for sigma2."""
 
-    surface: CombSurface
-    kind: str                 # "sigma2" | "sigma4"
-    variant: int | None
-    shifts: tuple[Pair, Pair]
+    __slots__ = ()
 
     def linear(self, c: Pair) -> Pair:
         if self.kind == "sigma2":

@@ -16,11 +16,12 @@ pool never gets more workers than there are CPUs or pairs to check.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from functools import cached_property, partial
-from typing import Callable, NamedTuple
 
 from . import generators as gens
 from . import invariants as inv
+from . import rowspan
 from .exact import X, IntPolynomial, chebyshev_c
 from .rowspan import (CurveParams, _in_sorted, _matrix_rows, klein_orbits,
                       row_span, span_closure, summands)
@@ -30,11 +31,10 @@ from .surface import (build_surface, commute_check,
                       lift_sigma4, sigma4_variants, surface_genus)
 
 
-class CheckResult(NamedTuple):
-    name: str
-    passed: bool
-    detail: str = ""
-    stats: dict = {}                   # shared default, read but never written
+# the default stats is one shared dict, read but never written
+class CheckResult(namedtuple("CheckResult", "name passed detail stats",
+                             defaults=("", {}))):
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -82,26 +82,15 @@ class PairContext:
         return summands(self.params)
 
     @cached_property
-    def span(self):
-        return row_span(self.params)
-
-    @cached_property
-    def pieces(self) -> list[frozenset]:
-        """The Klein orbits of zero-free span elements, the nonzero pieces."""
-        return [orbit for orbit in klein_orbits(self.span)
-                if 0 not in next(iter(orbit))]
-
-    @cached_property
     def surface(self):
         return build_surface(self.params)
 
 
-class Check(NamedTuple):
+class Check(namedtuple("Check", "name worker")):
     """A named check and its worker, which reads a pair's context and
     returns a counterexample or None.  Calling it sweeps valid_pairs(nmax)."""
 
-    name: str
-    worker: Callable[[PairContext], str | None]
+    __slots__ = ()
 
     def __call__(self, nmax: int) -> CheckResult:
         return _sweep((self,), nmax)[0]
@@ -138,10 +127,12 @@ def _sweep(checks, nmax: int) -> list[CheckResult]:
 
 def _rowspan_pair(ctx: PairContext) -> str | None:
     n, m = ctx.pair
-    N, span = ctx.params.N, ctx.span
-    # row_span is read off the deck group; the oracle closes the two rows
-    # in (Z/NZ)^4
-    if span != span_closure(_matrix_rows(n, m), N):
+    N = ctx.params.N
+    # row_span is {(x, -x) : x in G}; the oracle checks each row's form
+    # (x, -x) and closes the x in (Z/NZ)^2, independently of G's closed form
+    deck, rows = rowspan._span_entries(n, m), _matrix_rows(n, m)
+    if (any((v + w) % N for row in rows for v, w in zip(row, row[2:]))
+            or span_closure([row[:2] for row in rows], N) != deck):
         return f"({n},{m}): row span differs from the closure of the rows"
     # stated members of the span: always (2m,2m,-2m,-2m), (2n,-2n,-2n,2n)
     # and (-n-m, n-m, n+m, -n+m); also the halved pair when n or m is odd
@@ -150,7 +141,8 @@ def _rowspan_pair(ctx: PairContext) -> str | None:
     if n % 2 or m % 2:
         members += [(m, m, -m, -m), (n, -n, -n, n)]
     for vec in members:
-        if not _in_sorted(span, tuple(v % N for v in vec)):
+        if (any((v + w) % N for v, w in zip(vec, vec[2:]))
+                or not _in_sorted(deck, (vec[0] % N, vec[1] % N))):
             return f"({n},{m}): {vec} missing from the row span"
     return None
 
@@ -161,13 +153,16 @@ check_rowspan_identities = Check("row-span t identities", _rowspan_pair)
 def _klein_pair(ctx: PairContext) -> str | None:
     n, m = ctx.pair
     nm = n * m
+    # the nonzero pieces: Klein orbits of the zero-free row span elements
+    pieces = [orbit for orbit in klein_orbits(row_span(ctx.params))
+              if 0 not in next(iter(orbit))]
     # t_1 > max(t_2, t_3, t_4) picks the member of a free orbit that leads
     # with its strict maximum entry: the orbit's lex maximum, one per orbit
-    selected = sorted(max(orbit) for orbit in ctx.pieces if len(orbit) == 4)
+    selected = sorted(max(orbit) for orbit in pieces if len(orbit) == 4)
     if sorted(s.vector for s in ctx.summands) != selected:
         return f"({n},{m}): summands differ from the t-value selection"
     # nonzero sigma3-fixed vectors without zero entries must be all-nm
-    for orbit in ctx.pieces:
+    for orbit in pieces:
         for e in orbit:
             if e[0] == e[2] and e[1] == e[3] and e != (nm, nm, nm, nm):
                 return f"({n},{m}): unexpected sigma3-fixed vector {e}"
@@ -183,17 +178,22 @@ check_klein_orbits = Check("Klein orbit selection", _klein_pair)
 
 def _genus_pair(ctx: PairContext) -> str | None:
     n, m = ctx.pair
+    N = ctx.params.N
     closed = inv.genus(ctx.params)
     count = len(ctx.summands)
-    orbit_genus = sum(len(orbit) == 4 for orbit in ctx.pieces)
+    # on G's pairs: (a, b, -a, -b) is zero-free when a, b != 0, and its Klein
+    # orbit (a, b), (b, a), (-a, -b), (-b, -a) is free unless b = a or
+    # a + b = 0 (2a = 2b = 0 forces b = a); a free orbit has 4 elements
+    zero_free = [(a, b) for a, b in ctx.surface.span.elements if a and b]
+    free = sum(a != b and a + b != N for a, b in zero_free)
+    orbit_genus = free // 4 if free % 4 == 0 else f"{free}/4"
     if not closed == count == orbit_genus:
         return (f"({n},{m}): genus closed={closed} summands={count} "
                 f"orbit={orbit_genus}")
     # every zero-free span element carries a rank-two piece
-    zero_free = sum(map(len, ctx.pieces))
     cover_genus = surface_genus(ctx.surface)
-    if zero_free != cover_genus:
-        return (f"({n},{m}): {zero_free} zero-free span elements vs "
+    if len(zero_free) != cover_genus:
+        return (f"({n},{m}): {len(zero_free)} zero-free span elements vs "
                 f"S-genus {cover_genus}")
     return None
 

@@ -338,6 +338,19 @@ def test_closed_stdout_exits_141_quietly():
     assert (proc.returncode, err) == (141, b"")
 
 
+@pytest.mark.parametrize("argv", [("info", "689", "2"),
+                                  ("generator", "689", "2", "--format", "md")])
+def test_rhs_beyond_the_float_range_is_an_error_not_a_traceback(argv):
+    # the numeric check of the degree-691 rhs overflows a float at u = -3:
+    # a one-line error and exit 2, the code of a refused input
+    proc = subprocess.run([sys.executable, "-m", "vwbm.cli", *argv],
+                          env=fresh_env(), capture_output=True, text=True,
+                          timeout=300)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: rhs of degree 691 overflows a float at u = -3\n")
+
+
 @given(st.integers(min_value=0, max_value=10 ** 12),
        st.integers(min_value=1, max_value=10 ** 12))
 @example(0, 1)

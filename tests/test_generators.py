@@ -7,7 +7,7 @@ from vwbm.generators import (CASE_BOTH_EVEN, CASE_M_EVEN_N_ODD, CASE_M_ODD,
                              U_MINUS_2, GeneratorEquation, _product_form_value,
                              generator_equation, verify_equation_numeric)
 from vwbm.rowspan import CurveParams
-from vwbm.verify import PairContext, _generator_pair
+from vwbm.verify import PairContext, _generator_pair, valid_pairs
 
 
 def poly(*coeffs):
@@ -135,6 +135,31 @@ def test_numeric_deviation_matches_rational_horner(n, m):
         approx = _product_form_value(eq, params, u)
         worst = max(worst, abs(exact - approx) / max(1.0, abs(exact), abs(approx)))
     assert check.max_relative_deviation == worst
+
+
+def _power_of_q_sample(rhs, u):
+    """rhs(u) as evaluated before the shifts: with u = k / q, the integer
+    sum of c_j k^j q^(d - j), divided by q^d."""
+    k, q = u.as_integer_ratio()
+    scaled, power = 0, 1
+    for c in reversed(rhs.coeffs):
+        scaled, power = scaled * k + c * power, power * q
+    return scaled / q ** rhs.degree()
+
+
+def test_shifted_exact_samples_equal_the_power_of_q_reference(monkeypatch):
+    # with the product form replaced by the reference, a sample whose
+    # exact value differs as a float leaves a nonzero deviation
+    from vwbm import generators
+    monkeypatch.setattr(generators, "_product_form_value",
+                        lambda eq, params, u: _power_of_q_sample(eq.rhs, u))
+    deviating = []
+    for n, m in valid_pairs(33):
+        params = CurveParams(n, m)
+        check = verify_equation_numeric(generator_equation(params), params)
+        if check.max_relative_deviation != 0.0:
+            deviating.append((n, m))
+    assert deviating == []
 
 
 def test_numeric_verification_rejects_corruption():

@@ -149,6 +149,23 @@ def test_row_span_equals_closure_of_the_rows(n, m):
     assert row_span(params) == span_closure(_matrix_rows(n, m), params.N)
 
 
+def _sorted_deck_group(n, m):
+    """G as listed before the progression construction: (mu + nv + h,
+    mu - nv + h) for h in (0, nm), u = v mod 2 when both are even, sorted."""
+    nm, N = n * m, 2 * n * m
+    return tuple(sorted(
+        ((m * u + n * v + h) % N, (m * u - n * v + h) % N)
+        for u in range(n) for v in range(m)
+        if n % 2 or m % 2 or (u - v) % 2 == 0 for h in (0, nm)))
+
+
+def test_deck_group_progressions_match_the_sorted_enumeration():
+    # the same tuple, in the same order, at every valid pair up to 40
+    wrong = [(n, m) for n, m in valid_pairs(40)
+             if _span_entries(n, m) != _sorted_deck_group(n, m)]
+    assert wrong == []
+
+
 # ---------------------------------------------------------------------------
 # Klein action
 # ---------------------------------------------------------------------------

@@ -58,6 +58,16 @@ def test_cli_import_leaves_out_multiprocessing():
     assert proc.stdout.split() == ["False"]
 
 
+def test_cli_import_leaves_out_typing():
+    # under -S no site hook loads typing first; the value types are
+    # collections.namedtuple subclasses and the hints come from
+    # collections.abc, so a command pays nothing for it
+    proc = run_fresh("-S", "-c", "import sys, vwbm.cli; "
+                     "print('typing' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_cli_import_loads_every_layer_and_no_dataclasses():
     # the benchmark tracer wraps layer functions only in modules already
     # loaded, so every layer is imported eagerly.  The value types are

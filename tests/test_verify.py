@@ -5,7 +5,7 @@ import pytest
 from vwbm.cli import main
 from vwbm.exact import IntPolynomial
 from vwbm.generators import generator_equation
-from vwbm.rowspan import CurveParams, row_span
+from vwbm.rowspan import CurveParams, klein_orbits, row_span
 from vwbm.verify import (VERIFY_NMAX_MAX, Check, CheckResult,
                          _cosine_root_identity, _sweep, _thread_cap,
                          check_klein_orbits, check_rowspan_identities,
@@ -145,6 +145,54 @@ def test_genus_level_enumerates_each_deck_group_once(monkeypatch):
         rowspan._span_entries.cache_clear()
     assert calls == []
     assert misses == len(valid_pairs(10))
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_genus_level_counts_match_the_klein_orbits(monkeypatch, n):
+    # the genus level counts free orbits and zero-free elements on G's
+    # pairs; the reference builds the Klein orbits of the row span as
+    # frozensets, as the level did before.  A failing closed form or cover
+    # genus makes the check print the counts it found
+    from vwbm import invariants, verify
+    for m in [m for m in range(2, 21) if n * m >= 6]:
+        params = CurveParams(n, m)
+        pieces = [orbit for orbit in klein_orbits(row_span(params))
+                  if 0 not in next(iter(orbit))]
+        orbit = sum(len(o) == 4 for o in pieces)
+        zero_free = sum(map(len, pieces))
+        with monkeypatch.context() as patch:
+            patch.setattr(invariants, "genus", lambda params: -1)
+            assert verify._genus_pair(verify.PairContext((n, m))) == (
+                f"({n},{m}): genus closed=-1 summands={orbit} orbit={orbit}")
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "surface_genus", lambda surface: -1)
+            assert verify._genus_pair(verify.PairContext((n, m))) == (
+                f"({n},{m}): {zero_free} zero-free span elements vs S-genus -1")
+
+
+def test_genus_level_builds_no_row_span_or_orbits(monkeypatch):
+    # it counts on G's pairs; only the Klein check builds the 4-tuples
+    from vwbm import verify
+    monkeypatch.setenv("VWBM_THREADS", "1")
+
+    def forbidden(*args):
+        raise AssertionError("the genus level reads no row span")
+
+    monkeypatch.setattr(verify, "row_span", forbidden)
+    monkeypatch.setattr(verify, "klein_orbits", forbidden)
+    assert all(r.passed for r in run_suite(12, "genus"))
+    assert not check_klein_orbits(4).passed
+
+
+def test_genus_check_fails_when_free_elements_do_not_split_into_fours(
+        monkeypatch):
+    # one free element too many: the orbit count is not whole
+    from vwbm import verify
+    ctx = verify.PairContext((2, 3))
+    span = ctx.surface.span
+    extra = span._replace(elements=span.elements + ((1, 2),))
+    ctx.surface = ctx.surface._replace(span=extra)
+    assert verify._genus_pair(ctx) == "(2,3): genus closed=1 summands=1 orbit=5/4"
 
 
 def test_all_levels_build_each_shared_object_once_per_pair(monkeypatch):
