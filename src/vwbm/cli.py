@@ -102,7 +102,8 @@ def _report_dict(report: CurveReport) -> dict:
             "degree_F": report.trace_degree_F,
             "degree_E": report.trace_degree_E,
             "admissible_triangle_group": report.admissible_triangle_group,
-            "hecke_field_degree": report.hecke_field_degree,
+            # the Hecke scalars generate E; tracefield and verify scan them
+            "hecke_field_degree": report.trace_degree_E,
         },
         "primitivity": {
             "arithmetic": report.arithmetic,

@@ -59,9 +59,6 @@ class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
         """Degree of the leading term; the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
 
-    def is_monic(self) -> bool:
-        return not self.is_zero() and self.coeffs[-1] == 1
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":

@@ -72,7 +72,8 @@ def cosine_factor(m: int) -> IntPolynomial:
 
 def generator_equation(params: CurveParams) -> GeneratorEquation:
     """The exact generator equation for T(n, m): rhs = (u - 2)^a Q^mult,
-    monic of degree m, n + m, or (n + m)/2 in the three cases."""
+    monic as u - 2 and Q are, of degree m, n + m, or (n + m)/2 in the three
+    cases."""
     n, m = params.n, params.m
     if m % 2:
         case, y_exponent, a, mult = CASE_M_ODD, 2 * n, 1, 2
@@ -81,11 +82,8 @@ def generator_equation(params: CurveParams) -> GeneratorEquation:
     else:
         case, y_exponent, a, mult = CASE_BOTH_EVEN, n, n // 2, 1
     q = cosine_factor(m)
-    rhs = U_MINUS_2 ** a * q ** mult
-    if not rhs.is_monic():
-        raise AssertionError(f"rhs of T({n},{m}) is not monic")
-    return GeneratorEquation(case, y_exponent, rhs, (a, q, mult),
-                             U_MINUS_2 * q)
+    return GeneratorEquation(case, y_exponent, U_MINUS_2 ** a * q ** mult,
+                             (a, q, mult), U_MINUS_2 * q)
 
 
 @lru_cache(maxsize=128)

@@ -11,7 +11,8 @@ cosine-root identity and a floating-point product form, symmetry lifts
 against the deck-group relations they must satisfy).
 
 Set VWBM_THREADS > 1 to fan the per-pair work out to a process pool; the
-pool never gets more workers than there are CPUs or pairs to check.
+pool never gets more workers than there are pairs to check or CPUs that this
+process may run on.
 """
 from __future__ import annotations
 
@@ -50,13 +51,16 @@ def valid_pairs(nmax: int) -> list[tuple[int, int]]:
 
 
 def _thread_cap(pairs) -> int:
-    """Workers for a sweep: VWBM_THREADS, clamped to the CPUs and pairs."""
+    """Workers for a sweep: VWBM_THREADS, clamped to the pairs and to the
+    CPUs this process may run on (the machine's where the OS cannot say)."""
     raw = os.environ.get("VWBM_THREADS", "1")
     try:
         wanted = int(raw)
     except ValueError:
         wanted = 1
-    return max(1, min(wanted, os.cpu_count() or 1, len(pairs)))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(wanted, cpus, len(pairs)))
 
 
 def _map_pairs(worker, pairs):

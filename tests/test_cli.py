@@ -184,6 +184,49 @@ def test_tracefield_command(capsys):
     assert data["hecke"]["field_degree"] == 2
 
 
+def test_info_prints_deg_e_without_the_hecke_scan(capsys, monkeypatch):
+    # info prints deg E as the Hecke field degree; only tracefield and verify
+    # run the Galois scan and build the Hecke coordinates
+    argvs = [("info", n, m, "--format", f)
+             for n, m in (("2", "7"), ("12", "8"), ("60", "61"))
+             for f in FORMATS]
+    expected = [run(capsys, *argv) for argv in argvs]
+
+    def no_scan(*args):
+        raise AssertionError("the user path ran the Hecke scan")
+
+    modules = [module for name, module in sys.modules.items()
+               if name == "vwbm" or name.startswith("vwbm.")]
+    for module in modules:
+        for name in ("hecke_scalars", "subfield_degree"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_scan)
+    assert [run(capsys, *argv) for argv in argvs] == expected
+    assert [code for code, _, _ in expected] == [0] * len(argvs)
+    with pytest.raises(AssertionError):
+        main(["tracefield", "12", "8"])
+
+
+def test_tracefield_prints_the_scan_not_deg_e(capsys, monkeypatch):
+    # a wrong deg E shows in degree_E alone: tracefield's Hecke degree is
+    # the Galois scan's, the oracle that verify compares with deg E
+    from vwbm import cli, invariants
+    trace_degrees = invariants.trace_degrees
+
+    def wrong_deg_e(params):
+        deg_f, deg_e = trace_degrees(params)
+        return deg_f, deg_e + 1
+
+    for module in (invariants, cli):
+        monkeypatch.setattr(module, "trace_degrees", wrong_deg_e)
+    code, out, _ = run(capsys, "tracefield", "12", "8")
+    data = json.loads(out)
+    assert code == 0
+    scanned = data["hecke"]["field_degree"]
+    assert scanned == trace_degrees(CurveParams(12, 8))[1]
+    assert scanned != data["degree_E"] == scanned + 1
+
+
 def test_surface_command(capsys):
     code, out, _ = run(capsys, "surface", "2", "3")
     assert code == 0

@@ -91,7 +91,7 @@ def test_cyclotomic_small_cases():
 
 def test_cyclotomic_28_by_divide_and_check():
     phi28 = cyclotomic_poly(28)
-    assert phi28.degree() == 12 and phi28.is_monic()
+    assert phi28.degree() == 12 and phi28.coeffs[-1] == 1
     product = IntPolynomial((1,))
     for d in (1, 2, 4, 7, 14):
         product = product * cyclotomic_poly(d)

@@ -228,7 +228,7 @@ def test_curve_report_2_7():
         F(1, 5), F(3, 5), F(1)]
     assert not report.arithmetic
     assert report.primitivity.primitive
-    assert report.trace_degree_E == report.hecke_field_degree == 3
+    assert report.trace_degree_E == 3
     assert report.covers == ()
     assert "T(2,7) = T(7,2)" in report.notes
     assert any("regular 7-gon" in note for note in report.notes)

@@ -54,10 +54,20 @@ def test_parallel_map_via_env(monkeypatch):
 
 def test_thread_cap_is_clamped(monkeypatch):
     pairs = valid_pairs(6)
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    # the CPUs this process may run on, not the machine's
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
     monkeypatch.setenv("VWBM_THREADS", "100000")
     assert _thread_cap(pairs) == 4
     assert _thread_cap(pairs[:3]) == 3
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {1})
+    monkeypatch.setenv("VWBM_THREADS", "2")
+    assert _thread_cap(pairs) == 1
+    # without sched_getaffinity, the machine's count
+    monkeypatch.delattr("os.sched_getaffinity")
+    monkeypatch.setenv("VWBM_THREADS", "100000")
+    assert _thread_cap(pairs) == 8
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert _thread_cap(pairs) == 1
     monkeypatch.setenv("VWBM_THREADS", "-5")
