@@ -331,14 +331,14 @@ def cmd_surface(args) -> int:
             "surface_genus": genus,
             "sigma2": {
                 "involution": lift2.is_involution(),
-                "fixed_edges": len(fixed_edges(surface, lift2)),
+                "fixed_edges": fixed_edges(surface, lift2),
                 "horizontal_cylinders_preserved":
                     cylinder_preservation_check(surface, lift2) is None,
             },
             "sigma4_variants": [{
                 "variant": lift4.variant,
                 "involution": lift4.is_involution(),
-                "fixed_edges": len(fixed_edges(surface, lift4)),
+                "fixed_edges": fixed_edges(surface, lift4),
                 "vertical_cylinders_preserved":
                     cylinder_preservation_check(surface, lift4) is None,
             } for lift4 in lifts4],

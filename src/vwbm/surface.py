@@ -46,20 +46,23 @@ sigma2 and minus the swap for sigma4, and it is stored as (s_w, s_b).
 Composites of lifts and translations are again affine with linear part +-1
 or +-swap, so an identity between two of them with the same linear part
 holds on every square once it holds on the white and the black square
-labelled (0, 0).  Involution, commutation and conjugation relations are
-checked on those two squares only.
+labelled (0, 0).  Involution and conjugation relations are checked on those
+two squares only.  Commutation is not checked at all: involutive lifts L2 of
+sigma2 and L4 of sigma4 always commute, since L2 L4 keeps colors and has
+linear part -I, so it is an involution and L4 L2 = (L2 L4)^-1 = L2 L4.
 
 Fixed edges and cylinders are equations in the deck group G as well.  The
 lift fixes the edge with a given tag of the white square c exactly when
-(A - I) c = offset_tag - s_w, solved over the cyclic group (A - I) G.  It
-preserves the cylinders when c -> (A - I) c + s_k - offset_k lands in a
-cyclic subgroup, tested at c = 0 and at the four columns, which generate G.
+(A - I) c = offset_tag - s_w.  The solutions form a coset of ker(A - I) when
+the target lies in the cyclic group (A - I) G and are empty otherwise, and
+the targets of the two fixable tags lie in one coset of (A - I) G, so the
+fixed edges are counted, never listed.  The lift preserves the cylinders
+when c -> (A - I) c + s_k - offset_k lands in a cyclic subgroup, tested at
+c = 0 and at the four columns, which generate G.
 
-The lift census counts instead of enumerating.  Involutive lifts L2 of
-sigma2 and L4 of sigma4 always commute: L2 L4 keeps colors and has linear
-part -I, so it is an involution and L4 L2 = (L2 L4)^-1 = L2 L4.  Deck
-conjugation translates the pairs with a known kernel, so the number of
-classes is a quotient of group orders.
+The lift census counts instead of enumerating.  Every pair of involutive
+lifts commutes (above), and deck conjugation translates the pairs with a
+known kernel, so the number of classes is a quotient of group orders.
 """
 from __future__ import annotations
 
@@ -121,14 +124,6 @@ class CombSurface(namedtuple("CombSurface", "params span")):
     def neg(self, a: Pair) -> Pair:
         N = self.span.modulus
         return ((-a[0]) % N, (-a[1]) % N)
-
-    # -- edges ------------------------------------------------------------------
-
-    def edge_offsets(self) -> dict[str, Pair]:
-        """Across each tag, the white c meets the black c + offset[tag]."""
-        c1, c2, c3, c4 = self.span.columns
-        return {"34": (0, 0), "12": self.add(c1, c4), "14": c4,
-                "23": self.neg(c3)}
 
 
 def build_surface(params: CurveParams) -> CombSurface:
@@ -202,20 +197,14 @@ def lift_sigma4(surface: CombSurface, variant: int = 1) -> SymmetryLift:
     return SymmetryLift(surface, "sigma4", variant, shifts)
 
 
-def _edge_targets(surface: CombSurface, lift: SymmetryLift) -> list[tuple[str, Pair]]:
-    """Each fixable tag with its target offset_tag - s_w: the lift fixes the
-    edge (c_w, tag), mapping c_w across it to (c + offset_tag)_b, exactly
-    when (A - I) c equals the target.  sigma2-type lifts can only fix 12 or
-    34 edges, sigma4-type only 14 or 23 edges.
-
-    The two targets differ by offset_12 - offset_34 = c1 + c4 for sigma2
-    and offset_23 - offset_14 = -c3 - c4 for sigma4, which is -(A - I) col_1
-    in both cases, so they lie in one coset of (A - I) G.  Whether some edge
-    is fixed, and by which translates, is therefore read off the first
-    target alone; ``fixed_edges`` still lists the edges of both tags.
+def _edge_target(surface: CombSurface, lift: SymmetryLift) -> Pair:
+    """offset_tag - s_w for the first fixable tag (34 for sigma2, 14 for
+    sigma4): the lift fixes the edge (c_w, tag) exactly when (A - I) c
+    equals it.  The second tag's target (offset c1 + c4 for 12, -c3 for 23)
+    differs from it by -(A - I) col_1, so both lie in one coset of (A - I) G.
     """
-    return [(tag, surface.sub(surface.edge_offsets()[tag], lift.shifts[0]))
-            for tag in FIXABLE_TAGS[lift.kind]]
+    offset = (0, 0) if lift.kind == "sigma2" else surface.span.columns[3]
+    return surface.sub(offset, lift.shifts[0])
 
 
 def displacement_image(surface: CombSurface, lift: SymmetryLift) -> set[Pair]:
@@ -224,17 +213,15 @@ def displacement_image(surface: CombSurface, lift: SymmetryLift) -> set[Pair]:
     return surface.span.multiples(lift.displacement(surface.span.columns[0]))
 
 
-def has_fixed_edge(surface: CombSurface, lift: SymmetryLift) -> bool:
-    """Does the lift fix an edge, i.e. is the first target in (A - I) G?"""
-    target = _edge_targets(surface, lift)[0][1]
-    return target in displacement_image(surface, lift)
-
-
-def fixed_edges(surface: CombSurface, lift: SymmetryLift) -> tuple[tuple[Square, str], ...]:
-    """All edges fixed by the lift, reported from their white side."""
-    targets = _edge_targets(surface, lift)
-    return tuple((Square(c, WHITE), tag) for c in surface.span.elements
-                 for tag, target in targets if lift.displacement(c) == target)
+def fixed_edges(surface: CombSurface, lift: SymmetryLift) -> int:
+    """The number of edges the lift fixes: per fixable tag, the white c
+    with (A - I) c = target form a coset of ker(A - I), of order
+    |G| / |(A - I) G|, or none when the target is outside (A - I) G."""
+    image = displacement_image(surface, lift)
+    if _edge_target(surface, lift) not in image:
+        return 0
+    return (len(FIXABLE_TAGS[lift.kind]) * len(surface.span.elements)
+            // len(image))
 
 
 # The checks below return their failure text, naming the square where one
@@ -267,13 +254,6 @@ def intertwine_check(surface: CombSurface,
     for lift in (lift2, lift4):
         if not lift.is_involution():
             return f"{lift.kind} is not an involution"
-    return None
-
-
-def commute_check(lift_a: SymmetryLift, lift_b: SymmetryLift) -> str | None:
-    for sq in PROBES:
-        if lift_a(lift_b(sq)) != lift_b(lift_a(sq)):
-            return f"lifts do not commute at {sq}"
     return None
 
 
@@ -318,7 +298,7 @@ def _lift_candidates(surface: CombSurface, base: SymmetryLift) -> set[Pair]:
     """The e with T_e base an involution with a fixed edge, checked to be
     closed under conjugation by the columns; see ``lift_class_count``."""
     add = surface.add
-    target = _edge_targets(surface, base)[0][1]
+    target = _edge_target(surface, base)
     translates = {add(target, d) for d in displacement_image(surface, base)}
     found = {e for e in translates if add(base.linear(e), e) == (0, 0)}
     for col in surface.span.columns:
