@@ -318,7 +318,7 @@ def cmd_tracefield(args) -> int:
 def cmd_surface(args) -> int:
     params = CurveParams(args.n, args.m)
     surface = build_surface(params)
-    order = len(surface.span.elements)
+    order = surface.order
     genus, classes = surface_genus(surface), lift_class_count(surface)
 
     def payload():  # the lift fields, which only json prints

@@ -21,8 +21,7 @@ from collections import namedtuple
 from .exact import (CyclotomicElement, _divisors, _is_prime, euler_phi,
                     subfield_degree)
 from .generators import generator_equation
-from .rowspan import (CurveParams, _in_sorted, _matrix_rows, _span_entries,
-                      summands)
+from .rowspan import CurveParams, _matrix_rows, in_deck_group, summands
 
 ARITHMETIC_PAIRS = frozenset(
     {(2, 3), (2, 4), (2, 6), (3, 3), (4, 4), (6, 6)})
@@ -142,21 +141,20 @@ class CoverCertificate(namedtuple("CoverCertificate",
 
 
 def verify_cover(big: CurveParams, small: CurveParams) -> CoverCertificate:
-    """Check the row-span containment that realizes the covering S(n, m) ->
-    S(n', m'); rejects pairs whose areas do not divide."""
+    """Check the row-span containment of the covering S(n, m) -> S(n', m') by
+    G's defining conditions; rejects pairs whose areas do not divide."""
     nm_big = big.n * big.m
     nm_small = small.n * small.m
     if nm_big % nm_small:
         raise ValueError(f"{nm_small} does not divide {nm_big}")
     k = nm_big // nm_small
-    deck_big = _span_entries(big.n, big.m)
     N = big.N
     images = tuple(
         tuple((k * v) % N for v in row)
         for row in _matrix_rows(small.n, small.m))
     # the row span of S(n, m) is {(a, b, -a, -b) : (a, b) in G}
     holds = all(img[2:] == (-img[0] % N, -img[1] % N)
-                and _in_sorted(deck_big, img[:2]) for img in images)
+                and in_deck_group(big.n, big.m, img[:2]) for img in images)
     return CoverCertificate(k, images, holds)
 
 

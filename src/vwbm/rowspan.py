@@ -10,7 +10,7 @@ the rank-two pieces of the cohomology of the family.  A row has r_3 = -r_1
 and r_4 = -r_2 mod N, and row 2 is row 1 with coordinates (12)(34) swapped,
 so the row span is {(a, b, -a, -b) : (a, b) in G} for the deck group
 G = <(r1, r2), (r2, r1)> = <col_1, .., col_4> of (Z/NZ)^2 (see ``surface``).
-G is listed by its closed form, as pairs, for the row span and the surface.
+Its order and membership are closed forms; only ``verify`` lists G.
 
 For a row vector r the fractional parts t_j(r) = {r_j / N} control the
 pieces: a piece is nonzero exactly when t(r) = 2 = t(-r), which holds on
@@ -21,7 +21,6 @@ size-four orbit.  ``verify`` keeps that selection over G as its oracle;
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd, lcm
@@ -114,8 +113,9 @@ def span_closure(gens, modulus: int) -> tuple[tuple[int, ...], ...]:
 
 @lru_cache(maxsize=64)
 def _span_entries(n: int, m: int) -> tuple[tuple[int, int], ...]:
-    """The deck group G in lex order: the (a, b) with 2m | a + b, 2n | a - b
-    and, if n and m are both even, (a + b)/2m = (a - b)/2n mod 2.
+    """The deck group G in lex order, for ``verify``, the row span and the
+    squares: the (a, b) with 2m | a + b, 2n | a - b and, if n and m are both
+    even, (a + b)/2m = (a - b)/2n mod 2.
 
     Listed with no sort: with g = gcd(n, m), the b for a given a exist only
     when g | a, and form the progression b0, b0 + N/g, .. of g terms, with
@@ -140,18 +140,26 @@ def _span_entries(n: int, m: int) -> tuple[tuple[int, int], ...]:
                  for b in range(s, N, stride))
 
 
+def deck_group_order(n: int, m: int) -> int:
+    """|G|: 2nm, halved by the parity condition when n and m are both even."""
+    return n * m if n % 2 == 0 == m % 2 else 2 * n * m
+
+
+def in_deck_group(n: int, m: int, x: tuple[int, int]) -> bool:
+    """Is x in G?  The conditions of ``_span_entries``, which hold for one
+    representative of x mod N exactly when they hold for every one."""
+    s, d = x[0] + x[1], x[0] - x[1]
+    if s % (2 * m) or d % (2 * n):
+        return False
+    return n % 2 == 1 or m % 2 == 1 or (s // (2 * m) - d // (2 * n)) % 2 == 0
+
+
 def row_span(params: CurveParams) -> tuple[Vector, ...]:
     """The subgroup of (Z/NZ)^4 generated by the two defining rows, as
     canonical integer 4-tuples (a, b, -a, -b), (a, b) in G, in lex order."""
     N = params.N
     return tuple((a, b, -a % N, -b % N)
                  for a, b in _span_entries(params.n, params.m))
-
-
-def _in_sorted(items, item) -> bool:
-    """Membership in a sorted tuple, such as G or a row span, by bisection."""
-    i = bisect_left(items, item)
-    return i < len(items) and items[i] == item
 
 
 def klein_orbit(r: Vector) -> frozenset[Vector]:

@@ -5,8 +5,8 @@ subgroup G of (Z/NZ)^2 generated by the four columns of the defining matrix,
 with one white and one black square per label.  The deck transformation T_j
 adds column j to the label and preserves color.  Since col_3 = -col_1 and
 col_4 = -col_2 with col_2 the swap of col_1, G is also the group behind the
-row span, {(a, b, -a, -b) : (a, b) in G}, and ``rowspan`` lists it by its
-closed form for both.
+row span, {(a, b, -a, -b) : (a, b) in G}.  A surface holds the columns and
+reads |G| off its closed form in ``rowspan``; only ``squares`` lists G.
 
 Edge conventions.  Every edge borders one white and one black square and is
 tagged by the pair of corner points it joins (12, 23, 34 or 14).  The tag
@@ -69,7 +69,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, lcm
 
-from .rowspan import CurveParams, _in_sorted, _matrix_rows, _span_entries
+from .rowspan import CurveParams, _matrix_rows, _span_entries, deck_group_order
 
 WHITE = "w"
 BLACK = "b"
@@ -85,10 +85,18 @@ class Square(namedtuple("Square", "label color")):
     __slots__ = ()
 
 
-class ColumnSpan(namedtuple("ColumnSpan", "modulus columns elements")):
-    """The deck group: subgroup of (Z/NZ)^2 spanned by the matrix columns."""
+class CombSurface(namedtuple("CombSurface", "params columns")):
+    """S(n, m) as colored squares over the span G of its columns."""
 
     __slots__ = ()
+
+    modulus = property(lambda self: self.params.N)
+    order = property(lambda self: deck_group_order(*self.params))
+
+    # listed on demand, never stored: a white and a black square per label
+    squares = property(lambda self: tuple(
+        Square(label, color) for label in _span_entries(*self.params)
+        for color in (WHITE, BLACK)))
 
     def order_of(self, pair: Pair) -> int:
         """Order of an element of (Z/NZ)^2 (componentwise lcm of orders)."""
@@ -100,37 +108,24 @@ class ColumnSpan(namedtuple("ColumnSpan", "modulus columns elements")):
         N = self.modulus
         return {(k * g[0] % N, k * g[1] % N) for k in range(self.order_of(g))}
 
-
-class CombSurface(namedtuple("CombSurface", "params span")):
-    """S(n, m) as colored squares over the column span, with deck action."""
-
-    __slots__ = ()
-
-    # listed on demand, never stored: a white and a black square per label
-    squares = property(lambda self: tuple(
-        Square(label, color) for label in self.span.elements
-        for color in (WHITE, BLACK)))
-
     # -- label arithmetic ---------------------------------------------------
 
     def add(self, a: Pair, b: Pair) -> Pair:
-        N = self.span.modulus
+        N = self.modulus
         return ((a[0] + b[0]) % N, (a[1] + b[1]) % N)
 
     def sub(self, a: Pair, b: Pair) -> Pair:
-        N = self.span.modulus
+        N = self.modulus
         return ((a[0] - b[0]) % N, (a[1] - b[1]) % N)
 
     def neg(self, a: Pair) -> Pair:
-        N = self.span.modulus
+        N = self.modulus
         return ((-a[0]) % N, (-a[1]) % N)
 
 
 def build_surface(params: CurveParams) -> CombSurface:
-    """The surface over the one enumeration of G, with no square built."""
-    columns = tuple(zip(*_matrix_rows(params.n, params.m)))
-    span = ColumnSpan(params.N, columns, _span_entries(params.n, params.m))
-    return CombSurface(params, span)
+    """The surface over the columns of the defining matrix; G is not listed."""
+    return CombSurface(params, tuple(zip(*_matrix_rows(params.n, params.m))))
 
 
 # Where affine identities are checked; see the module docstring.
@@ -192,7 +187,7 @@ def lift_sigma4(surface: CombSurface, variant: int = 1) -> SymmetryLift:
     if variant not in sigma4_variants(surface.params):
         raise ValueError(
             "variant 2 is a distinct lift only when n and m are both even")
-    c1, c2, c3, c4 = surface.span.columns
+    c1, c2, c3, c4 = surface.columns
     shifts = (c4, c3) if variant == 1 else (c1, c2)
     return SymmetryLift(surface, "sigma4", variant, shifts)
 
@@ -203,14 +198,14 @@ def _edge_target(surface: CombSurface, lift: SymmetryLift) -> Pair:
     equals it.  The second tag's target (offset c1 + c4 for 12, -c3 for 23)
     differs from it by -(A - I) col_1, so both lie in one coset of (A - I) G.
     """
-    offset = (0, 0) if lift.kind == "sigma2" else surface.span.columns[3]
+    offset = (0, 0) if lift.kind == "sigma2" else surface.columns[3]
     return surface.sub(offset, lift.shifts[0])
 
 
 def displacement_image(surface: CombSurface, lift: SymmetryLift) -> set[Pair]:
     """(A - I) G: the columns are +-col_1 and +-swap col_1, and (A - I) swap
     = -+(A - I), so it is the cyclic group of (A - I) col_1."""
-    return surface.span.multiples(lift.displacement(surface.span.columns[0]))
+    return surface.multiples(lift.displacement(surface.columns[0]))
 
 
 def fixed_edges(surface: CombSurface, lift: SymmetryLift) -> int:
@@ -220,8 +215,7 @@ def fixed_edges(surface: CombSurface, lift: SymmetryLift) -> int:
     image = displacement_image(surface, lift)
     if _edge_target(surface, lift) not in image:
         return 0
-    return (len(FIXABLE_TAGS[lift.kind]) * len(surface.span.elements)
-            // len(image))
+    return len(FIXABLE_TAGS[lift.kind]) * surface.order // len(image)
 
 
 # The checks below return their failure text, naming the square where one
@@ -243,7 +237,7 @@ def intertwine_check(surface: CombSurface,
     L T_c L = T_(A c) for every c once both lifts are involutions.
     """
     def deck(j: int, sq: Square) -> Square:
-        return Square(surface.add(sq.label, surface.span.columns[j - 1]),
+        return Square(surface.add(sq.label, surface.columns[j - 1]),
                       sq.color)
 
     pairs = [(lift2, 1, 2), (lift2, 3, 4), (lift4, 1, 4), (lift4, 2, 3)]
@@ -268,15 +262,15 @@ def cylinder_preservation_check(surface: CombSurface, lift: SymmetryLift) -> str
     T1 T2.  The difference is affine in the label, so it is tested at
     c = 0 and at the four columns, and a failure names the square.
     """
-    c1, c2, c3, c4 = surface.span.columns
+    c1, c2, c3, c4 = surface.columns
     if lift.kind == "sigma2":
         gen, offsets = surface.add(c1, c4), ((0, 0), (0, 0))
     else:
         gen, offsets = surface.add(c1, c2), (c4, c3)
-    sub = surface.span.multiples(gen)
+    sub = surface.multiples(gen)
     for color, shift, offset in zip((WHITE, BLACK), lift.shifts, offsets):
         constant = surface.sub(shift, offset)
-        for c in ((0, 0),) + surface.span.columns:
+        for c in ((0, 0),) + surface.columns:
             if surface.add(lift.displacement(c), constant) not in sub:
                 return f"cylinder broken at {Square(c, color)}"
     return None
@@ -289,8 +283,8 @@ def surface_genus(surface: CombSurface) -> int:
     column j in the deck group G; each e_j divides |G|.  The genus level of
     ``verify`` checks the result against the count of zero-free elements.
     """
-    G = len(surface.span.elements)
-    orders = [surface.span.order_of(col) for col in surface.span.columns]
+    G = surface.order
+    orders = [surface.order_of(col) for col in surface.columns]
     return (sum(G - G // e for e in orders) - 2 * G) // 2 + 1
 
 
@@ -301,7 +295,7 @@ def _lift_candidates(surface: CombSurface, base: SymmetryLift) -> set[Pair]:
     target = _edge_target(surface, base)
     translates = {add(target, d) for d in displacement_image(surface, base)}
     found = {e for e in translates if add(base.linear(e), e) == (0, 0)}
-    for col in surface.span.columns:
+    for col in surface.columns:
         move = surface.sub(col, base.linear(col))
         if {add(e, move) for e in found} != found:
             raise AssertionError(
@@ -334,10 +328,8 @@ def lift_class_count(surface: CombSurface) -> int:
         raise AssertionError(f"conjugation relations failed: {broken}")
     c2 = len(_lift_candidates(surface, base2))
     c4 = len(_lift_candidates(surface, base4))
-    # K = {a in G : swap a = a, 2a = 0} lies in {(0, 0), (N/2, N/2)}
-    half = surface.span.modulus // 2
-    kernel = 1 + _in_sorted(surface.span.elements, (half, half))
-    classes, rest = divmod(c2 * c4 * kernel, len(surface.span.elements))
+    # |K| = 2, as (N/2, N/2) = n (m, m) = (n/2) (2m, 2m) always lies in G
+    classes, rest = divmod(c2 * c4 * 2, surface.order)
     if rest:
         raise AssertionError("the conjugation orbits do not divide the census")
     return classes

@@ -24,7 +24,7 @@ from . import generators as gens
 from . import invariants as inv
 from . import rowspan
 from .exact import X, IntPolynomial, chebyshev_c
-from .rowspan import (CurveParams, _in_sorted, _matrix_rows, klein_orbits,
+from .rowspan import (CurveParams, _matrix_rows, in_deck_group, klein_orbits,
                       row_span, span_closure, summands)
 from .surface import (build_surface, cylinder_preservation_check,
                       fixed_edges, intertwine_check, lift_class_count,
@@ -145,7 +145,7 @@ def _rowspan_pair(ctx: PairContext) -> str | None:
         members += [(m, m, -m, -m), (n, -n, -n, n)]
     for vec in members:
         if (any((v + w) % N for v, w in zip(vec, vec[2:]))
-                or not _in_sorted(deck, (vec[0] % N, vec[1] % N))):
+                or not in_deck_group(n, m, vec[:2])):
             return f"({n},{m}): {vec} missing from the row span"
     return None
 
@@ -187,7 +187,7 @@ def _genus_pair(ctx: PairContext) -> str | None:
     # on G's pairs: (a, b, -a, -b) is zero-free when a, b != 0, and its Klein
     # orbit (a, b), (b, a), (-a, -b), (-b, -a) is free unless b = a or
     # a + b = 0 (2a = 2b = 0 forces b = a); a free orbit has 4 elements
-    zero_free = [(a, b) for a, b in ctx.surface.span.elements if a and b]
+    zero_free = [(a, b) for a, b in rowspan._span_entries(n, m) if a and b]
     free = sum(a != b and a + b != N for a, b in zero_free)
     orbit_genus = free // 4 if free % 4 == 0 else f"{free}/4"
     if not closed == count == orbit_genus:

@@ -330,11 +330,16 @@ def test_summand_bytes_match_recorded_digests(capsys):
 
 
 def test_report_commands_build_no_deck_group(capsys):
-    # info, table and spectrum read the summands off their closed form
+    # info, table and spectrum read the summands off their closed form;
+    # surface and covers read |G| and membership in G off theirs
     from vwbm import rowspan
     rowspan._span_entries.cache_clear()
     for argv in (["info", "12", "8"], ["table", "6", "6"],
-                 ["spectrum", "9", "6"]):
+                 ["spectrum", "9", "6"], ["surface", "12", "12"],
+                 ["surface", "12", "12", "--format", "csv"],
+                 ["surface", "12", "12", "--format", "md"],
+                 ["surface", "60", "61"], ["covers", "24", "24", "--certify"],
+                 ["covers", "24", "24", "--certify", "--format", "md"]):
         assert main(argv) == 0
     capsys.readouterr()
     assert rowspan._span_entries.cache_info().misses == 0
@@ -429,7 +434,7 @@ def test_surface_command_and_checks_build_no_squares(capsys, monkeypatch):
     from vwbm import surface
     from vwbm.rowspan import _span_entries
     from vwbm.verify import run_suite
-    assert surface.CombSurface._fields == ("params", "span")
+    assert surface.CombSurface._fields == ("params", "columns")
     for n, m in ((2, 3), (4, 6), (5, 7)):
         listed = surface.build_surface(CurveParams(n, m)).squares
         assert listed == tuple(

@@ -7,7 +7,6 @@ selection", Computer 11(4), 1978).  A check that a refactor turned into a
 no-op passes under its mutation, and this test fails.
 """
 import json
-from bisect import bisect_left
 
 import pytest
 
@@ -67,10 +66,12 @@ def _criterion_rejecting_powers_of_two(monkeypatch):
     monkeypatch.setattr(invariants, "_ap_criterion", rejecting)
 
 
-def _membership_without_its_equality_test(monkeypatch):
-    # an insertion point inside the tuple passes for a member
-    monkeypatch.setattr(invariants, "_in_sorted",
-                        lambda items, item: bisect_left(items, item) < len(items))
+def _membership_without_its_parity_condition(monkeypatch):
+    # 2m | a + b and 2n | a - b alone, also when n and m are both even
+    def without_parity(n, m, x):
+        return (x[0] + x[1]) % (2 * m) == 0 == (x[0] - x[1]) % (2 * n)
+
+    monkeypatch.setattr(invariants, "in_deck_group", without_parity)
 
 
 def _sigma4_shifted_by_column_1(monkeypatch):
@@ -78,7 +79,7 @@ def _sigma4_shifted_by_column_1(monkeypatch):
 
     def shifted(surf, variant=1):
         lift = lift_sigma4(surf, variant)
-        col_1 = surf.span.columns[0]
+        col_1 = surf.columns[0]
         return lift._replace(
             shifts=tuple(surf.add(s, col_1) for s in lift.shifts))
 
@@ -129,7 +130,7 @@ MUTATIONS = {
     "primitivity": ("trace", _criterion_rejecting_powers_of_two,
                     "algebraic primitivity criterion vs degrees",
                     "(2,8): criterion=False deg E = genus is True"),
-    "covers": ("covers", _membership_without_its_equality_test,
+    "covers": ("covers", _membership_without_its_parity_condition,
                "covering criterion vs containment oracle",
                "(2,6) vs (2,3): criterion=False containment=True"),
     "lifts": ("lifts", _sigma4_shifted_by_column_1,

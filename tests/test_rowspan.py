@@ -5,7 +5,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vwbm.rowspan import (CurveParams, Summand, _matrix_rows, _span_entries,
-                          klein_orbit, row_span, span_closure, summands)
+                          deck_group_order, in_deck_group, klein_orbit,
+                          row_span, span_closure, summands)
 from vwbm.verify import valid_pairs
 
 F = Fraction
@@ -164,6 +165,17 @@ def test_deck_group_progressions_match_the_sorted_enumeration():
     wrong = [(n, m) for n, m in valid_pairs(40)
              if _span_entries(n, m) != _sorted_deck_group(n, m)]
     assert wrong == []
+    # and the closed order counts the listing
+    assert [(n, m) for n, m in valid_pairs(40)
+            if deck_group_order(n, m) != len(_span_entries(n, m))] == []
+
+
+@pytest.mark.parametrize("n,m", valid_pairs(12))
+def test_deck_group_membership_matches_the_listing(n, m):
+    # every (a, b) of (Z/NZ)^2, tested by the conditions and by the listing
+    N, listed = 2 * n * m, set(_span_entries(n, m))
+    assert [(a, b) for a in range(N) for b in range(N)
+            if in_deck_group(n, m, (a, b)) != ((a, b) in listed)] == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import pytest
 
 from vwbm.cli import main
-from vwbm.rowspan import CurveParams, _matrix_rows, row_span, span_closure
+from vwbm.rowspan import (CurveParams, _matrix_rows, _span_entries, row_span,
+                          span_closure)
 from vwbm.surface import (BLACK, FIXABLE_TAGS, WHITE, Square, SymmetryLift,
                           _edge_target, _lift_candidates, build_surface,
                           cylinder_preservation_check, displacement_image,
@@ -52,10 +53,15 @@ def _commute(p, q):
 
 def _offsets(surface):
     """Across each tag, the white c meets the black c + offset[tag]."""
-    N = surface.span.modulus
-    c1, c2, c3, c4 = surface.span.columns
+    N = surface.modulus
+    c1, c2, c3, c4 = surface.columns
     return {"34": (0, 0), "12": ((c1[0] + c4[0]) % N, (c1[1] + c4[1]) % N),
             "14": c4, "23": (-c3[0] % N, -c3[1] % N)}
+
+
+def _elements(surface):
+    """G, listed by its closed form; the surface itself holds no list."""
+    return _span_entries(*surface.params)
 
 
 def _scan_fixed_edges(surface, lift):
@@ -70,19 +76,19 @@ def _scan_fixed_edges(surface, lift):
 
 def test_column_span_2_3():
     surface = build_surface(CurveParams(2, 3))
-    assert len(surface.span.elements) == 12
+    assert surface.order == 12
     assert len(surface.squares) == 24
 
 
 def test_columns_sum_to_zero_and_deck_composition():
     surface = build_surface(CurveParams(2, 7))
-    N = surface.span.modulus
-    total = (sum(c[0] for c in surface.span.columns) % N,
-             sum(c[1] for c in surface.span.columns) % N)
+    N = surface.modulus
+    total = (sum(c[0] for c in surface.columns) % N,
+             sum(c[1] for c in surface.columns) % N)
     assert total == (0, 0)
     for sq in surface.squares:
         moved = sq
-        for col in surface.span.columns:
+        for col in surface.columns:
             moved = _move(moved, col, N)
         assert moved == sq
 
@@ -90,39 +96,42 @@ def test_columns_sum_to_zero_and_deck_composition():
 @pytest.mark.parametrize("n,m",
                          valid_pairs(16) + [(40, 30), (60, 61), (64, 48)])
 def test_column_span_equals_closure_of_the_four_columns(n, m):
-    # build_surface reads G off its closed form in rowspan, which closes no
+    # the surface reads |G| off its closed form in rowspan, which closes no
     # group; the large pairs cover both parities
     rows = _matrix_rows(n, m)
-    columns = [(rows[0][j], rows[1][j]) for j in range(4)]
-    assert (build_surface(CurveParams(n, m)).span.elements
-            == span_closure(columns, 2 * n * m))
+    columns = tuple((rows[0][j], rows[1][j]) for j in range(4))
+    surface = build_surface(CurveParams(n, m))
+    closure = span_closure(columns, 2 * n * m)
+    assert surface.columns == columns
+    assert _elements(surface) == closure
+    assert surface.order == len(closure)
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (2, 7), (3, 4)])
 def test_column_span_generators_odd_case(n, m):
     surface = build_surface(CurveParams(n, m))
-    N = surface.span.modulus
+    N = surface.modulus
     stated = close(N, [(-m % N, -m % N), (-n % N, n % N)])
-    assert stated == set(surface.span.elements)
+    assert stated == set(_elements(surface))
 
 
 @pytest.mark.parametrize("n,m", [(4, 4), (4, 6), (6, 10)])
 def test_column_span_generators_both_even(n, m):
     surface = build_surface(CurveParams(n, m))
-    N = surface.span.modulus
+    N = surface.modulus
     stated = close(N, [(-2 * m % N, -2 * m % N), (-2 * n % N, 2 * n % N),
                        ((-n - m) % N, (n - m) % N)])
-    assert stated == set(surface.span.elements)
+    assert stated == set(_elements(surface))
 
 
 def test_deck_action_simply_transitive_on_colors():
     surface = build_surface(CurveParams(2, 3))
     whites = {sq for sq in surface.squares if sq.color == WHITE}
-    N = surface.span.modulus
+    N = surface.modulus
     base = Square((0, 0), WHITE)
-    orbit = {_move(base, c, N) for c in surface.span.elements}
+    orbit = {_move(base, c, N) for c in _elements(surface)}
     assert orbit == whites
-    stabilizer = [c for c in surface.span.elements
+    stabilizer = [c for c in _elements(surface)
                   if _move(base, c, N) == base]
     assert stabilizer == [(0, 0)]
 
@@ -212,8 +221,8 @@ def test_intertwine_relations():
     lift2, lift4 = lift_sigma2(surface), lift_sigma4(surface, 1)
     assert intertwine_check(surface, lift2, lift4) is None
     # the specific relations, spelled out on every square
-    N = surface.span.modulus
-    cols = dict(zip((1, 2, 3, 4), surface.span.columns))
+    N = surface.modulus
+    cols = dict(zip((1, 2, 3, 4), surface.columns))
     for sq in surface.squares:
         assert lift2(_move(lift2(sq), cols[1], N)) == _move(sq, cols[2], N)
         assert lift2(_move(lift2(sq), cols[3], N)) == _move(sq, cols[4], N)
@@ -224,7 +233,7 @@ def test_intertwine_relations():
 def test_corrupted_sigma4_fails_with_witness():
     surface = build_surface(CurveParams(3, 4))
     lift2 = lift_sigma2(surface)
-    bad = _translate(lift_sigma4(surface, 1), surface.span.columns[0])
+    bad = _translate(lift_sigma4(surface, 1), surface.columns[0])
     report = intertwine_check(surface, lift2, bad)
     assert report is not None and "Square(" in report
 
@@ -247,7 +256,7 @@ def test_cylinder_preservation_positive():
 
 def test_cylinder_preservation_negative_control():
     surface = build_surface(CurveParams(2, 7))
-    corrupted = _translate(lift_sigma2(surface), surface.span.columns[2])
+    corrupted = _translate(lift_sigma2(surface), surface.columns[2])
     report = cylinder_preservation_check(surface, corrupted)
     assert report is not None
     assert report.startswith("cylinder broken at Square(")
@@ -257,7 +266,7 @@ def test_cylinder_check_reads_the_black_shift():
     # a lift that is right on white squares and wrong on black ones
     surface = build_surface(CurveParams(2, 7))
     bad = SymmetryLift(surface, "sigma2", None,
-                       ((0, 0), surface.span.columns[2]))
+                       ((0, 0), surface.columns[2]))
     report = cylinder_preservation_check(surface, bad)
     assert report is not None and report.endswith(f"color={BLACK!r})")
 
@@ -266,9 +275,8 @@ def test_cylinder_check_tests_the_columns():
     # with columns 3 and 4 exchanged the horizontal cylinders become the
     # classes mod col_1 + col_3; sigma2 breaks them, but not at (0, 0)
     surface = build_surface(CurveParams(2, 7))
-    c1, c2, c3, c4 = surface.span.columns
-    swapped = surface._replace(
-        span=surface.span._replace(columns=(c1, c2, c4, c3)))
+    c1, c2, c3, c4 = surface.columns
+    swapped = surface._replace(columns=(c1, c2, c4, c3))
     report = cylinder_preservation_check(swapped, lift_sigma2(swapped))
     assert report is not None and "Square(label=" in report
     assert "label=(0, 0)" not in report
@@ -280,25 +288,16 @@ def test_cylinder_check_tests_the_columns():
 # genus and dimension bookkeeping
 # ---------------------------------------------------------------------------
 
-def test_surface_genus_formula_unbranched_degenerate_case():
-    # not reachable from valid parameters: a trivial deck group with all
-    # column orders 1 gives chi = 2, the sphere
-    from vwbm.surface import ColumnSpan, CombSurface
-    span = ColumnSpan(1, ((0, 0),) * 4, ((0, 0),))
-    surface = CombSurface(CurveParams(2, 3), span)
-    assert surface_genus(surface) == 0
-
-
 def test_surface_genus_2_3():
     surface = build_surface(CurveParams(2, 3))
-    assert len(surface.span.elements) == 12
-    for col in surface.span.columns:
+    assert surface.order == 12
+    for col in surface.columns:
         # brute-force order oracle
         order, cur = 1, col
         while cur != (0, 0):
             cur = surface.add(cur, col)
             order += 1
-        assert order == surface.span.order_of(col) == 12
+        assert order == surface.order_of(col) == 12
     assert surface_genus(surface) == 11
 
 
@@ -341,7 +340,7 @@ def _scan_census(surface):
     """The census by enumeration: scan the translates of each base lift for
     involutions with a fixed edge, test every pair for commutation on every
     square, and walk the orbits of simultaneous conjugation."""
-    elements = surface.span.elements
+    elements = _elements(surface)
     add, sub = surface.add, surface.sub
 
     def candidates(base):
@@ -386,8 +385,8 @@ def test_edge_targets_share_one_displacement_coset(n, m):
     # is read off the test's own offsets; the cyclic subgroups are listed as
     # multiples, and the oracle closes what the columns generate
     surface = build_surface(CurveParams(n, m))
-    N = surface.span.modulus
-    c1, c2, c3, c4 = columns = surface.span.columns
+    N = surface.modulus
+    c1, c2, c3, c4 = columns = surface.columns
     lifts = [lift_sigma2(surface), lift_sigma4(surface, 1)]
     if n % 2 == 0 and m % 2 == 0:
         lifts.append(lift_sigma4(surface, 2))
@@ -400,7 +399,7 @@ def test_edge_targets_share_one_displacement_coset(n, m):
         assert image == set(span_closure(
             [lift.displacement(c) for c in columns], N))
         g = surface.add(c1, c4 if lift.kind == "sigma2" else c2)
-        assert surface.span.multiples(g) == set(span_closure((g,), N))
+        assert surface.multiples(g) == set(span_closure((g,), N))
 
 
 @pytest.mark.parametrize("n,m", valid_pairs(8))
@@ -409,7 +408,7 @@ def test_involutive_lifts_always_commute(n, m):
     variants = (1, 2) if n % 2 == 0 and m % 2 == 0 else (1,)
 
     def involutive(base):
-        lifts = [_translate(base, e) for e in surface.span.elements]
+        lifts = [_translate(base, e) for e in _elements(surface)]
         return [_permutation(surface, lift) for lift in lifts
                 if lift.is_involution()]
 
@@ -436,7 +435,7 @@ def _base_tables(surface):
     """The sigma2~ and sigma4~ lifts as dicts on squares, keyed by
     (kind, variant) as the builders name them."""
     n, m = surface.params.n, surface.params.m
-    N, nm = surface.span.modulus, n * m
+    N, nm = surface.modulus, n * m
 
     def table(white, black):
         out = {}
@@ -472,13 +471,13 @@ def _table_commute(s, t):
 def _table_intertwine(surface, t2, t4):
     """The conjugation relations of intertwine_check, on every square and
     for every deck element."""
-    N = surface.span.modulus
-    cols = dict(zip((1, 2, 3, 4), surface.span.columns))
+    N = surface.modulus
+    cols = dict(zip((1, 2, 3, 4), surface.columns))
     for t, a, b in [(t2, 1, 2), (t2, 3, 4), (t4, 1, 4), (t4, 2, 3)]:
         if any(t[_move(t[sq], cols[a], N)] != _move(sq, cols[b], N)
                for sq in t):
             return False
-    for c in surface.span.elements:
+    for c in _elements(surface):
         swap, nswap = (c[1], c[0]), (-c[1], -c[0])
         for sq in surface.squares:
             if t2[_move(t2[sq], c, N)] != _move(sq, swap, N):
@@ -490,7 +489,7 @@ def _table_intertwine(surface, t2, t4):
 
 def _table_fixed_edges(surface, t, kind):
     """The edges a table fixes, scanning the white squares in order."""
-    N = surface.span.modulus
+    N = surface.modulus
     offsets = _offsets(surface)
     return tuple((sq, tag) for sq in surface.squares if sq.color == WHITE
                  for tag in FIXABLE_TAGS[kind]
@@ -501,8 +500,8 @@ def _table_keeps_cylinders(surface, t, kind):
     """Per-square cylinder verdict: every square's image has the other
     color and sits in its cylinder (horizontal for sigma2, vertical for
     sigma4), with cylinders read off the module-docstring conventions."""
-    N = surface.span.modulus
-    c1, c2, c3, c4 = surface.span.columns
+    N = surface.modulus
+    c1, c2, c3, c4 = surface.columns
     if kind == "sigma2":
         gen, offsets = (c1[0] + c4[0], c1[1] + c4[1]), {WHITE: (0, 0),
                                                         BLACK: (0, 0)}
@@ -521,7 +520,7 @@ def _table_keeps_cylinders(surface, t, kind):
 @pytest.mark.parametrize("n,m", ORACLE_PAIRS)
 def test_affine_lifts_match_per_square_tables(n, m):
     surface = build_surface(CurveParams(n, m))
-    N = surface.span.modulus
+    N = surface.modulus
     lifts = {("sigma2", None): lift_sigma2(surface),
              ("sigma4", 1): lift_sigma4(surface, 1)}
     if n % 2 == 0 and m % 2 == 0:
@@ -530,7 +529,7 @@ def test_affine_lifts_match_per_square_tables(n, m):
     assert tables.keys() == lifts.keys()
     for key, base in lifts.items():
         kept, counts = set(), set()
-        for e in surface.span.elements:
+        for e in _elements(surface):
             lift = _translate(base, e)
             table = _shift_table(tables[key], e, N)
             assert all(lift(sq) == table[sq] for sq in surface.squares)
@@ -551,9 +550,9 @@ def test_affine_lifts_match_per_square_tables(n, m):
     # involutions commute on every square, which the lift suite relies on
     def sample(key):
         base, table = lifts[key], tables[key]
-        good = [e for e in surface.span.elements
+        good = [e for e in _elements(surface)
                 if _translate(base, e).is_involution()]
-        bad = [e for e in surface.span.elements if e not in good]
+        bad = [e for e in _elements(surface) if e not in good]
         return [(_translate(base, e), _shift_table(table, e, N))
                 for e in good[:2] + bad[:1]]
 
@@ -569,8 +568,8 @@ def test_affine_lifts_match_per_square_tables(n, m):
 @pytest.mark.parametrize("n,m", ORACLE_PAIRS)
 def test_lift_class_count_matches_per_square_census(n, m):
     surface = build_surface(CurveParams(n, m))
-    N = surface.span.modulus
-    elements = surface.span.elements
+    N = surface.modulus
+    elements = _elements(surface)
     tables = _base_tables(surface)
 
     def candidates(kind, table):
