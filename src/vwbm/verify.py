@@ -473,9 +473,11 @@ check_swap_symmetry = Check("invariants agree under (n, m) swap", _swap_pair)
 # suite driver
 # ---------------------------------------------------------------------------
 
-# The largest nmax at which every level is measured to pass: at 34 the float
-# product form of the generators check exceeds generators.TOLERANCE = 1e-9 at
-# (34, 30) by rounding alone.  Raise it only with a tolerance that bounds it.
+# The largest nmax at which every level is measured to pass: at 34 the
+# generators check fails at (34, 30).  For m = 2 (mod 4) the float root
+# 2cos(pi/2) of its product form is 1.2e-16, not 0, at the sample u = 0,
+# where the exact rhs is 0.  Raise it once that root is exact (ROADMAP item
+# 1); a looser tolerance would not bound the deviation at a root.
 VERIFY_NMAX_MAX = 33
 
 LEVELS: dict[str, tuple[Check, ...]] = {

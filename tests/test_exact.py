@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vwbm import invariants
+from vwbm import exact, invariants, verify
 from vwbm.exact import (CyclotomicElement, IntPolynomial, X, _factorize,
                         _fp_root_powers, _root_sum_vector, chebyshev_c,
                         cyclotomic_poly, euler_phi, subfield_degree,
@@ -334,6 +334,86 @@ def test_subfield_degree_matches_ascending_scan_on_curve_generators(
     assert len(calls) == 3 * (11 * 11 - 1)
     for K, gens in calls:
         assert subfield_degree(K, gens) == _ascending_scan(K, gens), (K, gens)
+
+
+def _counting_scans(monkeypatch):
+    """Clear the stabilizer memo and count the scans that follow: each scan
+    lists the units mod K once."""
+    exact._stabilizer_index.cache_clear()
+    scans = []
+
+    def counting(K):
+        scans.append(K)
+        return units_mod(K)
+
+    monkeypatch.setattr(exact, "units_mod", counting)
+    return scans
+
+
+@pytest.mark.parametrize("K,gens,variants", [
+    (28, [(1, -1), (4, -4)], [
+        [(-4, 4), (-1, 1)],              # reordered
+        [(1, -1), (4, -4), (1, -1)],     # a generator repeated
+        [(29, -29), (4 - 56, -4)],       # shifted by multiples of K
+        [(-1, 1), (-4, 4)],              # negated
+    ]),
+    (24, [(1, 5), (1, 7)], [
+        [(7, 1), (5, 1)],
+        [(1, 5), (1, 5), (1, 7)],
+        [(25, -43), (1 + 24 * 5, 7)],
+        [(-1, -5), (1, 7)],              # one generator negated
+        [(-1, -5), (-1, -7)],
+    ]),
+    (21, [(1, 4, 16), (7,)], [
+        [(7,), (16, 4, 1)],
+        [(7,), (1, 4, 16), (7,), (7,)],
+        [(22, -17, 16), (-14,)],
+        [(-1, -4, -16), (-7,)],
+    ]),
+])
+def test_subfield_degree_scans_once_per_canonical_input(monkeypatch, K, gens,
+                                                        variants):
+    # reordering, repeating, shifting by K or negating the generators leaves
+    # the stabilizer as it is, and the canonical key as well
+    scans = _counting_scans(monkeypatch)
+    degree = subfield_degree(K, gens)
+    assert degree == _ascending_scan(K, gens)
+    assert scans == [K]
+    for other in variants:
+        assert subfield_degree(K, other) == degree, other
+        assert _ascending_scan(K, other) == degree, other
+    assert scans == [K]
+    subfield_degree(K, gens[:1])                 # a different input scans
+    assert scans == [K, K]
+
+
+def test_subfield_degree_memo_is_bounded():
+    assert exact._stabilizer_index.cache_info().maxsize is not None
+
+
+def test_trace_sweep_scans_once_per_distinct_input(monkeypatch):
+    # (n, m) and (m, n) hand the scan the same generators, the trace-field
+    # pair with its two lists swapped and the Hecke scalars reordered; the
+    # memo must also hold every distinct input of the largest sweep
+    monkeypatch.delenv("VWBM_THREADS", raising=False)
+    calls = []
+
+    def recording(K, generators):
+        calls.append((K, [tuple(g) for g in generators]))
+        return subfield_degree(K, generators)
+
+    monkeypatch.setattr(invariants, "subfield_degree", recording)
+    scans = _counting_scans(monkeypatch)
+    assert all(check.passed for check in verify.run_suite(16, "trace"))
+
+    def key(K, gens):
+        return K, frozenset(
+            min(tuple(sorted(e % K for e in g)),
+                tuple(sorted(-e % K for e in g))) for g in gens)
+
+    assert len(calls) == 672
+    assert len(scans) == len({key(K, gens) for K, gens in calls}) == 357
+    assert exact._stabilizer_index.cache_info().maxsize >= 1581
 
 
 def test_units_mod_matches_gcd_scan():
