@@ -1,7 +1,7 @@
 """Exact invariants of the Veech-Ward-Bouw-Moller Teichmuller curves T(n, m)."""
 
-from .exact import (CyclotomicElement, IntPolynomial, chebyshev_c,
-                    cyclotomic_poly, euler_phi, subfield_degree)
+from .exact import (IntPolynomial, chebyshev_c, cyclotomic_poly, euler_phi,
+                    subfield_degree)
 from .generators import (GeneratorEquation, generator_equation,
                          verify_equation_numeric)
 from .invariants import (Classification, CurveReport, admissible_triangle_group,
@@ -16,8 +16,8 @@ from .surface import (CombSurface, Square, SymmetryLift, build_surface,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CyclotomicElement", "IntPolynomial", "chebyshev_c", "cyclotomic_poly",
-    "euler_phi", "subfield_degree",
+    "IntPolynomial", "chebyshev_c", "cyclotomic_poly", "euler_phi",
+    "subfield_degree",
     "GeneratorEquation", "generator_equation", "verify_equation_numeric",
     "Classification", "CurveReport", "admissible_triangle_group",
     "algebraically_primitive", "classify", "covers", "curve_report", "genus",

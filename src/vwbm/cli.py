@@ -35,7 +35,7 @@ from .rowspan import CurveParams, Summand, summands
 from .surface import (build_surface, cylinder_preservation_check, fixed_edges,
                       lift_class_count, lift_sigma2, lift_sigma4,
                       sigma4_variants, surface_genus)
-from .verify import run_suite, valid_pairs
+from .verify import LEVELS, run_suite, valid_pairs
 
 SCHEMA = "vwbm-report/1"
 FORMATS = ("json", "csv", "md")
@@ -300,7 +300,7 @@ def cmd_tracefield(args) -> int:
         "admissible_triangle_group": admissible,
         "hecke": {
             "field_degree": hecke.field_degree,
-            "scalars": [[str(c) for c in s.coords] for s in hecke.scalars],
+            "scalars": [[str(c) for c in s] for s in hecke.scalars],
         },
     }
     return _emit(
@@ -391,8 +391,8 @@ OPTIONS = {
     "--certify": {"action": "store_true", "default": False,
                   "help": "include row-span containment certificates"},
     "--level": {"default": "all",
-                "help": "all, rowspan, genus, trace-only, covers, lifts, "
-                        "generators, or spectrum"},
+                "help": f"all or one of {', '.join(LEVELS)}; "
+                        "a trailing -only is accepted"},
 }
 
 

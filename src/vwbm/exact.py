@@ -8,10 +8,11 @@ Conventions used throughout the package:
   polynomial has an empty coefficient tuple; it has ring operations,
   powers and exact long division, and no square root, since every factor
   the package needs is built from a closed form;
-* an element of Q(zeta_K) is a :class:`CyclotomicElement` written in the
-  power basis 1, x, ..., x^(phi(K)-1) modulo the K-th cyclotomic polynomial,
-  with ``int`` coordinates; it is built as a sum of roots of unity, and
-  Galois automorphisms act on such a sum by scaling its exponents.
+* an element of Q(zeta_K) is the tuple of its phi(K) ``int`` coordinates
+  in the power basis 1, x, ..., x^(phi(K)-1) modulo the K-th cyclotomic
+  polynomial; it is built as a sum of roots of unity by
+  :func:`_root_sum_vector`, and Galois automorphisms act on such a sum by
+  scaling its exponents.
 
 Phi_K is a Moebius product of binomials x^d - 1, root sums are reduced by
 long division over its nonzero coefficients, and Galois stabilizers are
@@ -279,34 +280,6 @@ def _root_sum_vector(K: int, exponents: Iterable[int]) -> tuple[int, ...]:
         for i in range(d):
             acc[i] += w[j + i]
     return tuple(acc)
-
-
-class CyclotomicElement(namedtuple("CyclotomicElement", "order coords")):
-    """An element of Z[zeta_K] in the power basis modulo Phi_K.
-
-    ``coords`` are phi(K) integers.  Equality is coordinate-wise, which is
-    exact equality in the field.  Elements are built from root sums; the
-    Galois automorphism zeta -> zeta^a of a unit a mod K acts on a root sum
-    by scaling its exponents, which is how :func:`subfield_degree` applies
-    it.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, order, coords):
-        d = euler_phi(order)
-        if len(coords) != d:
-            raise ValueError(f"need {d} coordinates for order {order}")
-        return super().__new__(cls, order, coords)
-
-    @classmethod
-    def _make(cls, fields):            # so ``_replace`` validates too
-        return cls(*fields)
-
-    @classmethod
-    def from_root_powers(cls, K: int, exponents: Iterable[int]) -> "CyclotomicElement":
-        """Sum of zeta_K^e over the exponent multiset."""
-        return cls(K, _root_sum_vector(K, exponents))
 
 
 def units_mod(K: int) -> list[int]:

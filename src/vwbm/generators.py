@@ -99,15 +99,12 @@ def _cosine_factors(m: int) -> tuple[float, ...]:
 
 def _product_form_value(eq: GeneratorEquation, params: CurveParams, u: float) -> float:
     """Evaluate the literal product of cosine factors at u (empty product = 1)."""
-    n, m = params.n, params.m
+    a, _, mult = eq.rhs_factored
     prod = 1.0
-    for root in _cosine_factors(m):
+    for root in _cosine_factors(params.m):
         prod *= u - root
-    if eq.case == CASE_M_ODD:
-        return (u - 2.0) * prod * prod
-    if eq.case == CASE_M_EVEN_N_ODD:
-        return (u - 2.0) ** n * prod * prod
-    return (u - 2.0) ** (n // 2) * prod
+    lin = (u - 2.0) ** a
+    return lin * prod * prod if mult == 2 else lin * prod
 
 
 class NumericCheck(namedtuple(

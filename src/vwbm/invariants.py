@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .exact import (CyclotomicElement, _divisors, _is_prime, euler_phi,
+from .exact import (_divisors, _is_prime, _root_sum_vector, euler_phi,
                     subfield_degree)
 from .generators import generator_equation
 from .rowspan import CurveParams, _matrix_rows, in_deck_group, summands
@@ -210,8 +210,8 @@ def admissible_triangle_group(params: CurveParams) -> bool:
 
 class HeckeScalars(namedtuple("HeckeScalars", "scalars field_degree")):
     """The three deck-transformation scalars acting on the generating form,
-    as exact elements of Q(zeta_N), N = 2nm, and the degree of the field
-    they generate (always deg E)."""
+    each the tuple of its phi(N) power-basis coordinates in Q(zeta_N),
+    N = 2nm, and the degree of the field they generate (always deg E)."""
 
     __slots__ = ()
 
@@ -227,7 +227,7 @@ def hecke_scalars(params: CurveParams) -> HeckeScalars:
     for p, q in ((1, 1), (1, -1), (1, 0)):
         u, v = p * r1 + q * r2, p * r2 + q * r1
         exps.append((u, -u, v, -v))
-    scalars = tuple(CyclotomicElement.from_root_powers(N, e) for e in exps)
+    scalars = tuple(_root_sum_vector(N, e) for e in exps)
     return HeckeScalars(scalars, subfield_degree(N, exps))
 
 

@@ -6,10 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vwbm import exact, invariants, verify
-from vwbm.exact import (CyclotomicElement, IntPolynomial, X, _factorize,
-                        _fp_root_powers, _root_sum_vector, chebyshev_c,
-                        cyclotomic_poly, euler_phi, subfield_degree,
-                        units_mod)
+from vwbm.exact import (IntPolynomial, X, _factorize, _fp_root_powers,
+                        _root_sum_vector, chebyshev_c, cyclotomic_poly,
+                        euler_phi, subfield_degree, units_mod)
 from vwbm.rowspan import CurveParams
 
 
@@ -161,25 +160,24 @@ def test_chebyshev_recurrence_and_numeric_law():
 
 def test_galois_fixes_examples():
     # zeta + 1/zeta in Q(zeta_28) is fixed by the units a = +-1 only
-    e = CyclotomicElement.from_root_powers(28, (1, -1))
-    assert CyclotomicElement.from_root_powers(28, (27, -27)) == e
-    assert CyclotomicElement.from_root_powers(28, (3, -3)) != e
+    e = _root_sum_vector(28, (1, -1))
+    assert _root_sum_vector(28, (27, -27)) == e
+    assert _root_sum_vector(28, (3, -3)) != e
     assert subfield_degree(28, [(1, -1)]) == euler_phi(28) // 2
     assert subfield_degree(28, [(0,)]) == 1
 
 
 def _element_of(K, poly):
-    """The element poly(zeta_K), reduced modulo Phi_K."""
+    """The coordinates of poly(zeta_K), reduced modulo Phi_K."""
     _, rem = poly.divide(cyclotomic_poly(K))
-    coords = rem.coeffs + (0,) * (euler_phi(K) - len(rem.coeffs))
-    return CyclotomicElement(K, coords)
+    return rem.coeffs + (0,) * (euler_phi(K) - len(rem.coeffs))
 
 
-def _poly_of(element, a=1):
+def _poly_of(coords, a=1):
     """The power-basis polynomial of an element, with x replaced by x^a."""
-    coeffs = [0] * (a * (len(element.coords) - 1) + 1)
-    for j, c in enumerate(element.coords):
-        coeffs[a * j] = int(c)
+    coeffs = [0] * (a * (len(coords) - 1) + 1)
+    for j, c in enumerate(coords):
+        coeffs[a * j] = c
     return IntPolynomial(tuple(coeffs))
 
 
@@ -190,12 +188,12 @@ def test_galois_homomorphism_spot(K):
     # products of root sums
     e, f = (1, 2), (1, -3, 0)
     prod = tuple(x + y for x in e for y in f)
-    whole = CyclotomicElement.from_root_powers(K, prod)
+    whole = _root_sum_vector(K, prod)
     for a in units_mod(K):
-        image = CyclotomicElement.from_root_powers(K, [a * x for x in prod])
+        image = _root_sum_vector(K, [a * x for x in prod])
         assert _element_of(K, _poly_of(whole, a)) == image
-        ea = CyclotomicElement.from_root_powers(K, [a * x for x in e])
-        fa = CyclotomicElement.from_root_powers(K, [a * x for x in f])
+        ea = _root_sum_vector(K, [a * x for x in e])
+        fa = _root_sum_vector(K, [a * x for x in f])
         assert _element_of(K, _poly_of(ea) * _poly_of(fa)) == image
 
 

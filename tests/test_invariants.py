@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from vwbm.exact import CyclotomicElement, euler_phi
+from vwbm.exact import _root_sum_vector, euler_phi
 from vwbm.invariants import (admissible_triangle_group,
                              algebraically_primitive, classify, covers,
                              covers_criterion, curve_report, genus,
                              hecke_scalars, is_arithmetic, trace_degrees,
                              trace_degrees_oracle, verify_cover)
 from vwbm.rowspan import CurveParams, summands
+from vwbm.verify import valid_pairs
 
 F = Fraction
 
@@ -187,9 +188,24 @@ def test_hecke_scalars_2_7():
     r1, r2 = 14 - 2 - 7, 14 + 2 - 7
     for (p, q), s in zip(((1, 1), (1, -1), (1, 0)), hecke.scalars):
         u, v = p * r1 + q * r2, p * r2 + q * r1
-        assert CyclotomicElement.from_root_powers(N, (-u, u, -v, v)) == s
+        assert _root_sum_vector(N, (-u, u, -v, v)) == s
     # (p, q) = (1, 1) gives 2 zeta^(r1+r2) + 2 zeta^-(r1+r2) = -4 here
-    assert hecke.scalars[0].coords == (-4,) + (0,) * (euler_phi(N) - 1)
+    assert hecke.scalars[0] == (-4,) + (0,) * (euler_phi(N) - 1)
+
+
+def test_hecke_scalars_are_coordinate_tuples():
+    # each scalar is phi(N) int coordinates of its root sum, with
+    # r1 = nm - n - m, r2 = nm + n - m as the docstring states
+    for n, m in valid_pairs(12):
+        N = 2 * n * m
+        r1, r2 = n * m - n - m, n * m + n - m
+        scalars = hecke_scalars(CurveParams(n, m)).scalars
+        assert len(scalars) == 3
+        for (p, q), s in zip(((1, 1), (1, -1), (1, 0)), scalars):
+            u, v = p * r1 + q * r2, p * r2 + q * r1
+            assert type(s) is tuple and len(s) == euler_phi(N), (n, m)
+            assert all(type(c) is int for c in s), (n, m)
+            assert s == _root_sum_vector(N, (u, -u, v, -v)), (n, m)
 
 
 def test_hecke_degree_matches_invariant_field():

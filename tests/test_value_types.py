@@ -1,14 +1,14 @@
 """The value types are tuples: their contracts beyond plain tuple behaviour.
 
-The three types with an invariant (IntPolynomial, CyclotomicElement,
-CurveParams) normalise or validate in ``__new__``, also on ``_replace``;
-every value type is immutable; and the parallel verify path pickles them.
+The two types with an invariant (IntPolynomial, CurveParams) normalise or
+validate in ``__new__``, also on ``_replace``; every value type is
+immutable; and the parallel verify path pickles them.
 """
 import pickle
 
 import pytest
 
-from vwbm.exact import CyclotomicElement, IntPolynomial
+from vwbm.exact import IntPolynomial
 from vwbm.rowspan import CurveParams, summands
 from vwbm.verify import LEVELS, CheckResult, run_suite
 
@@ -21,10 +21,6 @@ def test_invariants_hold_on_construction_and_replace():
         CurveParams(1, 5)
     with pytest.raises(ValueError):
         CurveParams(3, 4)._replace(n=1)
-    with pytest.raises(ValueError, match="need 4 coordinates for order 5"):
-        CyclotomicElement(5, (1, 2, 3))
-    with pytest.raises(ValueError):
-        CyclotomicElement.from_root_powers(5, (1,))._replace(coords=(1,))
 
 
 @pytest.mark.parametrize("value,attr", [
@@ -49,7 +45,6 @@ def test_scalar_times_polynomial_scales_the_coefficients():
 def test_values_survive_pickling():
     # VWBM_THREADS > 1 sends the checks to worker processes
     values = [CurveParams(3, 4), IntPolynomial((1, 0, 2)),
-              CyclotomicElement.from_root_powers(12, (1, -1)),
               summands(CurveParams(4, 6))[1], *LEVELS["spectrum"]]
     for value in values:
         copy = pickle.loads(pickle.dumps(value))
