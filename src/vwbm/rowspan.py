@@ -10,7 +10,8 @@ the rank-two pieces of the cohomology of the family.  A row has r_3 = -r_1
 and r_4 = -r_2 mod N, and row 2 is row 1 with coordinates (12)(34) swapped,
 so the row span is {(a, b, -a, -b) : (a, b) in G} for the deck group
 G = <(r1, r2), (r2, r1)> = <col_1, .., col_4> of (Z/NZ)^2 (see ``surface``).
-Its order and membership are closed forms; only ``verify`` lists G.
+Its order and membership are closed forms.  Only ``verify`` lists G, and
+``surface.CombSurface.squares`` does, for the tests and the benchmark tracer.
 
 For a row vector r the fractional parts t_j(r) = {r_j / N} control the
 pieces: a piece is nonzero exactly when t(r) = 2 = t(-r), which holds on

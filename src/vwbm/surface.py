@@ -6,7 +6,8 @@ with one white and one black square per label.  The deck transformation T_j
 adds column j to the label and preserves color.  Since col_3 = -col_1 and
 col_4 = -col_2 with col_2 the swap of col_1, G is also the group behind the
 row span, {(a, b, -a, -b) : (a, b) in G}.  A surface holds the columns and
-reads |G| off its closed form in ``rowspan``; only ``squares`` lists G.
+reads |G| off its closed form in ``rowspan``; only ``squares``, which the
+tests and the benchmark tracer read, lists G.
 
 Edge conventions.  Every edge borders one white and one black square and is
 tagged by the pair of corner points it joins (12, 23, 34 or 14).  The tag
@@ -42,14 +43,17 @@ the two distinct conjugacy classes of fixed-point lifts.
 
 Every lift, and every translate T_e of one, is affine on labels: it sends
 c of color k to A c + s_k with the color flipped, where A is the swap for
-sigma2 and minus the swap for sigma4, and it is stored as (s_w, s_b).
-Composites of lifts and translations are again affine with linear part +-1
-or +-swap, so an identity between two of them with the same linear part
-holds on every square once it holds on the white and the black square
-labelled (0, 0).  Involution and conjugation relations are checked on those
-two squares only.  Commutation is not checked at all: involutive lifts L2 of
-sigma2 and L4 of sigma4 always commute, since L2 L4 keeps colors and has
-linear part -I, so it is an involution and L4 L2 = (L2 L4)^-1 = L2 L4.
+sigma2 and minus the swap for sigma4, and it is stored as (s_w, s_b).  A
+relation between composites of lifts and translations is an identity of
+A and the shifts, with no label in it:
+  - L is an involution iff A s_w + s_b = 0, since L L sends c_w to
+    (c + A s_w + s_b)_w and c_b to (c + A s_b + s_w)_b, and
+    A s_b + s_w = A (A s_w + s_b) as A^2 = I;
+  - L T_a L = T_b iff A (s_k + col_a) + s_k' = col_b for both colors k,
+    with k' the other color.
+Commutation is not checked at all: involutive lifts L2 of sigma2 and L4 of
+sigma4 always commute, since L2 L4 keeps colors and has linear part -I, so
+it is an involution and L4 L2 = (L2 L4)^-1 = L2 L4.
 
 Fixed edges and cylinders are equations in the deck group G as well.  The
 lift fixes the edge with a given tag of the white square c exactly when
@@ -60,9 +64,11 @@ fixed edges are counted, never listed.  The lift preserves the cylinders
 when c -> (A - I) c + s_k - offset_k lands in a cyclic subgroup, tested at
 c = 0 and at the four columns, which generate G.
 
-The lift census counts instead of enumerating.  Every pair of involutive
-lifts commutes (above), and deck conjugation translates the pairs with a
-known kernel, so the number of classes is a quotient of group orders.
+The lift census counts instead of enumerating.  The candidate translates
+of a base lift form a coset of (A - I) G on which the involution identity
+is constant, every pair of involutive lifts commutes (above), and deck
+conjugation translates the pairs with a known kernel, so the number of
+classes is a quotient of group orders.
 """
 from __future__ import annotations
 
@@ -128,10 +134,6 @@ def build_surface(params: CurveParams) -> CombSurface:
     return CombSurface(params, tuple(zip(*_matrix_rows(params.n, params.m))))
 
 
-# Where affine identities are checked; see the module docstring.
-PROBES = (Square((0, 0), WHITE), Square((0, 0), BLACK))
-
-
 class SymmetryLift(namedtuple("SymmetryLift",
                               "surface kind variant shifts")):
     """A lift of a pillowcase symmetry: the square c of color k goes to
@@ -145,19 +147,14 @@ class SymmetryLift(namedtuple("SymmetryLift",
             return (c[1], c[0])
         return self.surface.neg((c[1], c[0]))
 
-    def __call__(self, sq: Square) -> Square:
-        if sq.color == WHITE:
-            shift, color = self.shifts[0], BLACK
-        else:
-            shift, color = self.shifts[1], WHITE
-        return Square(self.surface.add(self.linear(sq.label), shift), color)
-
     def displacement(self, c: Pair) -> Pair:
         """(A - I) c for the linear part A."""
         return self.surface.sub(self.linear(c), c)
 
     def is_involution(self) -> bool:
-        return all(self(self(sq)) == sq for sq in PROBES)
+        """A s_w + s_b = 0; see the module docstring."""
+        s_w, s_b = self.shifts
+        return self.surface.add(self.linear(s_w), s_b) == (0, 0)
 
 
 def lift_sigma2(surface: CombSurface) -> SymmetryLift:
@@ -230,21 +227,22 @@ def intertwine_check(surface: CombSurface,
     s4 T2 s4 = T3.  General form, for every deck element (c1, c2):
     s2 (c1, c2) s2 = (c2, c1) and s4 (c1, c2) s4 = (-c2, -c1).
 
-    The specific relations are checked on ``PROBES``.  The general form
-    needs no check of its own: a lift L sends x_w to L T_c L x_w =
-    x + (A s_w + s_b) + A c and x_b to x + (A s_b + s_w) + A c, and both
-    constant terms vanish exactly when L is an involution, so
-    L T_c L = T_(A c) for every c once both lifts are involutions.
+    The specific relations are identities of the shifts (module docstring),
+    tested for white then black; a failure names the square (0, 0) of that
+    color.  The general form needs no check of its own: L T_c L sends x_k
+    to x + (A s_k + s_k') + A c, and both constant terms vanish exactly
+    when L is an involution, so L T_c L = T_(A c) for every c once both
+    lifts are involutions.
     """
-    def deck(j: int, sq: Square) -> Square:
-        return Square(surface.add(sq.label, surface.columns[j - 1]),
-                      sq.color)
-
     pairs = [(lift2, 1, 2), (lift2, 3, 4), (lift4, 1, 4), (lift4, 2, 3)]
     for lift, a, b in pairs:
-        for sq in PROBES:
-            if lift(deck(a, lift(sq))) != deck(b, sq):
-                return f"{lift.kind} T{a} {lift.kind} != T{b} at {sq}"
+        col_a, col_b = surface.columns[a - 1], surface.columns[b - 1]
+        s_w, s_b = lift.shifts
+        for color, s, s_other in ((WHITE, s_w, s_b), (BLACK, s_b, s_w)):
+            image = lift.linear(surface.add(s, col_a))
+            if surface.add(image, s_other) != col_b:
+                return (f"{lift.kind} T{a} {lift.kind} != T{b} "
+                        f"at {Square((0, 0), color)}")
     for lift in (lift2, lift4):
         if not lift.is_involution():
             return f"{lift.kind} is not an involution"
@@ -288,19 +286,20 @@ def surface_genus(surface: CombSurface) -> int:
     return (sum(G - G // e for e in orders) - 2 * G) // 2 + 1
 
 
-def _lift_candidates(surface: CombSurface, base: SymmetryLift) -> set[Pair]:
-    """The e with T_e base an involution with a fixed edge, checked to be
-    closed under conjugation by the columns; see ``lift_class_count``."""
-    add = surface.add
+def _lift_candidates(surface: CombSurface, base: SymmetryLift) -> int:
+    """The number of e with T_e base an involution with a fixed edge; see
+    ``lift_class_count``.
+
+    The e with a fixed edge form the coset target + (A - I) G, and T_e base
+    is an involution iff (A + I) e = 0.  As (A + I)(A - I) = A^2 - I = 0,
+    (A + I) e = (A + I) target on the whole coset.  Conjugation by T_a moves
+    e by a - A a, which lies in (A - I) G, so the coset is closed under it.
+    """
     target = _edge_target(surface, base)
-    translates = {add(target, d) for d in displacement_image(surface, base)}
-    found = {e for e in translates if add(base.linear(e), e) == (0, 0)}
-    for col in surface.columns:
-        move = surface.sub(col, base.linear(col))
-        if {add(e, move) for e in found} != found:
-            raise AssertionError(
-                f"conjugation by {col} moves a {base.kind} candidate out")
-    return found
+    if surface.add(base.linear(target), target) != (0, 0):
+        return 0
+    # |(A - I) G|, the order of (A - I) col_1; see ``displacement_image``
+    return surface.order_of(base.displacement(surface.columns[0]))
 
 
 def lift_class_count(surface: CombSurface) -> int:
@@ -317,17 +316,16 @@ def lift_class_count(surface: CombSurface) -> int:
     pair of candidates commutes (see the module docstring), so there are
     c2 c4 valid pairs.  Conjugation by T_a adds a - A a to e, an action with
     kernel K = {a : swap a = a, 2a = 0}, so a class has |G| / |K| pairs.
-    This rests on the base relations that ``intertwine_check`` verifies
-    first; each candidate set is checked to be closed under the moves of the
-    columns, which generate G.
+    The candidate sets are counted by ``_lift_candidates`` in O(1).  This
+    rests on the base relations that ``intertwine_check`` verifies first.
     """
     base2 = lift_sigma2(surface)
     base4 = lift_sigma4(surface, 1)
     broken = intertwine_check(surface, base2, base4)
     if broken is not None:
         raise AssertionError(f"conjugation relations failed: {broken}")
-    c2 = len(_lift_candidates(surface, base2))
-    c4 = len(_lift_candidates(surface, base4))
+    c2 = _lift_candidates(surface, base2)
+    c4 = _lift_candidates(surface, base4)
     # |K| = 2, as (N/2, N/2) = n (m, m) = (n/2) (2m, 2m) always lies in G
     classes, rest = divmod(c2 * c4 * 2, surface.order)
     if rest:

@@ -175,3 +175,20 @@ def test_info_prints_both_primitivity_verdicts_when_they_disagree(
     verdict = json.loads(capsys.readouterr().out)["primitivity"]
     assert verdict["by_criterion"] is False
     assert verdict["by_trace_degree"] is True
+
+
+def test_lifts_level_fails_on_a_doubled_sigma4_census(monkeypatch):
+    # the census statement of the lifts check: the MUTATIONS row of that
+    # check fails it earlier, at an involution statement, and the table
+    # holds one row per check
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    candidates = surface._lift_candidates
+
+    def doubled(surf, base):
+        count = candidates(surf, base)
+        return 2 * count if base.kind == "sigma4" else count
+
+    monkeypatch.setattr(surface, "_lift_candidates", doubled)
+    failed = {r.name: r.detail for r in run_suite(12, "lifts") if not r.passed}
+    assert failed == {"pillowcase symmetry lift suite":
+                      "(2,3): 2 lift classes, expected 1"}

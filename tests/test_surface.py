@@ -30,6 +30,13 @@ def _move(sq, c, N):
                   sq.color)
 
 
+def _apply(lift, sq):
+    """The square the lift sends sq to: A c + s_k with the color flipped."""
+    shift, color = ((lift.shifts[0], BLACK) if sq.color == WHITE
+                    else (lift.shifts[1], WHITE))
+    return Square(lift.surface.add(lift.linear(sq.label), shift), color)
+
+
 def _translate(lift, e):
     """T_e composed after the lift: another lift of the same symmetry."""
     add = lift.surface.add
@@ -42,7 +49,12 @@ def _permutation(surface, lift):
     goes to the square at position p[i]."""
     squares = surface.squares
     index = {sq: i for i, sq in enumerate(squares)}
-    return [index[lift(sq)] for sq in squares]
+    return [index[_apply(lift, sq)] for sq in squares]
+
+
+def _involutive(p):
+    """Is the permutation given as a list its own inverse?"""
+    return all(p[p[i]] == i for i in range(len(p)))
 
 
 def _commute(p, q):
@@ -66,7 +78,8 @@ def _elements(surface):
 
 def _scan_fixed_edges(surface, lift):
     """The edges the lift fixes, by a scan of the white squares."""
-    whites = {sq: lift(sq) for sq in surface.squares if sq.color == WHITE}
+    whites = {sq: _apply(lift, sq) for sq in surface.squares
+              if sq.color == WHITE}
     return _table_fixed_edges(surface, whites, lift.kind)
 
 
@@ -144,8 +157,8 @@ def test_sigma2_swaps_base_square_and_fixes_its_34_edge():
     surface = build_surface(CurveParams(2, 7))
     lift = lift_sigma2(surface)
     base = Square((0, 0), WHITE)
-    assert lift(base) == Square((0, 0), BLACK)
-    assert lift(lift(base)) == base
+    assert _apply(lift, base) == Square((0, 0), BLACK)
+    assert _apply(lift, _apply(lift, base)) == base
     edges = _scan_fixed_edges(surface, lift)
     assert (base, "34") in edges
     assert fixed_edges(surface, lift) == len(edges)
@@ -175,37 +188,45 @@ def test_fixed_edge_count_matches_the_white_square_scan(n, m):
 
 
 def test_surface_command_counts_without_a_scan(monkeypatch, capsys):
-    # the lift layer of `surface` (json) makes as many displacement calls
-    # at (60, 61) as at (12, 11), and at (60, 60) as at (12, 12): no part of
-    # it scans G
-    displacement = SymmetryLift.displacement
-    calls = []
+    # the lift layer of `surface` (json) makes as many displacement calls,
+    # and as many calls of the linear part, at (60, 61) as at (12, 11), and
+    # at (60, 60) as at (12, 12): no part of it scans G or lists a translate
+    calls = {"displacement": [], "linear": []}
 
-    def counted(lift, c):
-        calls.append(c)
-        return displacement(lift, c)
+    def counting(name):
+        original = getattr(SymmetryLift, name)
 
-    monkeypatch.setattr(SymmetryLift, "displacement", counted)
+        def counted(lift, c):
+            calls[name].append(c)
+            return original(lift, c)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(SymmetryLift, name, counting(name))
 
     def count(n, m):
-        calls.clear()
+        for made in calls.values():
+            made.clear()
         assert main(["surface", str(n), str(m)]) == 0
         capsys.readouterr()
-        return len(calls)
+        return {name: len(made) for name, made in calls.items()}
 
-    assert count(12, 11) == count(60, 61) > 0
-    assert count(12, 12) == count(60, 60) > 0
+    for small, large in [((12, 11), (60, 61)), ((12, 12), (60, 60))]:
+        counts = count(*small)
+        assert counts == count(*large)
+        assert min(counts.values()) > 0
 
 
 def test_lifts_are_involutions_and_commute():
+    # decided on the squares, not by the shift identity of is_involution
     surface = build_surface(CurveParams(4, 4))
-    lift2 = lift_sigma2(surface)
+    p2 = _permutation(surface, lift_sigma2(surface))
     for variant in (1, 2):
         lift4 = lift_sigma4(surface, variant)
-        assert lift4.is_involution()
-        assert _commute(_permutation(surface, lift2),
-                        _permutation(surface, lift4))
-    assert lift_sigma2(surface).is_involution()
+        p4 = _permutation(surface, lift4)
+        assert _involutive(p4) and lift4.is_involution()
+        assert _commute(p2, p4)
+    assert _involutive(p2) and lift_sigma2(surface).is_involution()
 
 
 def test_sigma4_variant2_rejected_for_odd_parameters():
@@ -224,10 +245,10 @@ def test_intertwine_relations():
     N = surface.modulus
     cols = dict(zip((1, 2, 3, 4), surface.columns))
     for sq in surface.squares:
-        assert lift2(_move(lift2(sq), cols[1], N)) == _move(sq, cols[2], N)
-        assert lift2(_move(lift2(sq), cols[3], N)) == _move(sq, cols[4], N)
-        assert lift4(_move(lift4(sq), cols[1], N)) == _move(sq, cols[4], N)
-        assert lift4(_move(lift4(sq), cols[2], N)) == _move(sq, cols[3], N)
+        for lift, a, b in [(lift2, 1, 2), (lift2, 3, 4),
+                           (lift4, 1, 4), (lift4, 2, 3)]:
+            moved = _move(_apply(lift, sq), cols[a], N)
+            assert _apply(lift, moved) == _move(sq, cols[b], N)
 
 
 def test_corrupted_sigma4_fails_with_witness():
@@ -326,8 +347,8 @@ def test_lift_class_count(n, m, expected):
 
 def _candidate_counts(surface):
     """The sizes of the sigma2 and sigma4 candidate sets of the census."""
-    return (len(_lift_candidates(surface, lift_sigma2(surface))),
-            len(_lift_candidates(surface, lift_sigma4(surface, 1))))
+    return (_lift_candidates(surface, lift_sigma2(surface)),
+            _lift_candidates(surface, lift_sigma4(surface, 1)))
 
 
 def _valid_pair_count(surface):
@@ -338,8 +359,9 @@ def _valid_pair_count(surface):
 
 def _scan_census(surface):
     """The census by enumeration: scan the translates of each base lift for
-    involutions with a fixed edge, test every pair for commutation on every
-    square, and walk the orbits of simultaneous conjugation."""
+    involutions with a fixed edge, both decided on the squares, test every
+    pair for commutation on every square, and walk the orbits of
+    simultaneous conjugation.  A candidate is keyed by its white shift."""
     elements = _elements(surface)
     add, sub = surface.add, surface.sub
 
@@ -349,14 +371,13 @@ def _scan_census(surface):
                    for tag in FIXABLE_TAGS[base.kind]]
         lifts = [_translate(base, e) for e in elements
                  if any(sub(t, e) in image for t in targets)]
-        return [lift for lift in lifts if lift.is_involution()]
+        perms = {lift.shifts[0]: _permutation(surface, lift) for lift in lifts}
+        return {e: p for e, p in perms.items() if _involutive(p)}
 
-    cands2 = candidates(lift_sigma2(surface))
-    cands4 = candidates(lift_sigma4(surface, 1))
-    # a pair is keyed by the white shifts of its two lifts; conjugating by
-    # T_a moves them by a - swap(a) and a + swap(a)
-    perms2 = {l2.shifts[0]: _permutation(surface, l2) for l2 in cands2}
-    perms4 = {l4.shifts[0]: _permutation(surface, l4) for l4 in cands4}
+    perms2 = candidates(lift_sigma2(surface))
+    perms4 = candidates(lift_sigma4(surface, 1))
+    # conjugating by T_a moves the white shifts of a pair by a - swap(a)
+    # and a + swap(a)
     valid = {(e, f) for e, p2 in perms2.items() for f, p4 in perms4.items()
              if _commute(p2, p4)}
     moves = {(sub(a, (a[1], a[0])), add(a, (a[1], a[0]))) for a in elements}
@@ -368,7 +389,7 @@ def _scan_census(surface):
         assert orbit <= valid
         remaining -= orbit
         classes += 1
-    return classes, len(valid), len(cands2), len(cands4)
+    return classes, len(valid), len(perms2), len(perms4)
 
 
 @pytest.mark.parametrize("n,m", valid_pairs(16))
@@ -408,9 +429,9 @@ def test_involutive_lifts_always_commute(n, m):
     variants = (1, 2) if n % 2 == 0 and m % 2 == 0 else (1,)
 
     def involutive(base):
-        lifts = [_translate(base, e) for e in _elements(surface)]
-        return [_permutation(surface, lift) for lift in lifts
-                if lift.is_involution()]
+        perms = [_permutation(surface, _translate(base, e))
+                 for e in _elements(surface)]
+        return [p for p in perms if _involutive(p)]
 
     lifts2 = involutive(lift_sigma2(surface))
     for variant in variants:
@@ -532,7 +553,8 @@ def test_affine_lifts_match_per_square_tables(n, m):
         for e in _elements(surface):
             lift = _translate(base, e)
             table = _shift_table(tables[key], e, N)
-            assert all(lift(sq) == table[sq] for sq in surface.squares)
+            assert all(_apply(lift, sq) == table[sq]
+                       for sq in surface.squares)
             assert lift.is_involution() == _table_involution(table)
             edges = _table_fixed_edges(surface, table, key[0])
             assert fixed_edges(surface, lift) == len(edges)
@@ -546,20 +568,20 @@ def test_affine_lifts_match_per_square_tables(n, m):
         assert 0 in counts
 
     # commutation and conjugation verdicts on a sample of translates:
-    # two involutive ones and one that is not, for each symmetry; two
-    # involutions commute on every square, which the lift suite relies on
+    # two involutive ones and one that is not, for each symmetry, decided
+    # on the tables; two involutions commute on every square, which the
+    # lift suite relies on
     def sample(key):
         base, table = lifts[key], tables[key]
-        good = [e for e in _elements(surface)
-                if _translate(base, e).is_involution()]
-        bad = [e for e in _elements(surface) if e not in good]
-        return [(_translate(base, e), _shift_table(table, e, N))
-                for e in good[:2] + bad[:1]]
+        shifted = [(e, _shift_table(table, e, N)) for e in _elements(surface)]
+        good = [(e, t) for e, t in shifted if _table_involution(t)]
+        bad = [(e, t) for e, t in shifted if not _table_involution(t)]
+        return [(_translate(base, e), t) for e, t in good[:2] + bad[:1]]
 
     for key4 in [k for k in lifts if k[0] == "sigma4"]:
         for lift2, t2 in sample(("sigma2", None)):
             for lift4, t4 in sample(key4):
-                if lift2.is_involution() and lift4.is_involution():
+                if _table_involution(t2) and _table_involution(t4):
                     assert _table_commute(t2, t4)
                 assert ((intertwine_check(surface, lift2, lift4) is None)
                         == _table_intertwine(surface, t2, t4))
