@@ -61,6 +61,12 @@ class GeneratorEquation(namedtuple("GeneratorEquation", (
         return f"y^{self.y_exponent} = {lin}{body}" if lin else f"y^{self.y_exponent} = {body}"
 
 
+@lru_cache(maxsize=128)
+def u_minus_2_power(k: int) -> IntPolynomial:
+    """(u - 2)^k, shared by the rhs and the exact checks of ``verify``."""
+    return U_MINUS_2 ** k
+
+
 def cosine_factor(m: int) -> IntPolynomial:
     """Q, the square-free cosine product of the generator equations, monic
     of degree m/2 for even m and (m - 1)/2 for odd m."""
@@ -82,7 +88,7 @@ def generator_equation(params: CurveParams) -> GeneratorEquation:
     else:
         case, y_exponent, a, mult = CASE_BOTH_EVEN, n, n // 2, 1
     q = cosine_factor(m)
-    return GeneratorEquation(case, y_exponent, U_MINUS_2 ** a * q ** mult,
+    return GeneratorEquation(case, y_exponent, u_minus_2_power(a) * q ** mult,
                              (a, q, mult), U_MINUS_2 * q)
 
 
@@ -119,22 +125,26 @@ def verify_equation_numeric(eq: GeneratorEquation,
     TOLERANCE, the fixed bound 1e-9 that ``info``, ``generator`` and
     ``verify`` all apply and print.
 
-    The rhs is evaluated exactly and rounded once at the end: a sample
-    point is u = k / 2^s, so 2^(sd) rhs(u) is the integer sum of c_j k^j
-    2^(s(d - j)), a Horner sum in k of shifted c_j, and int / int rounds
-    correctly.  The deviation therefore measures only the error of the
-    floating-point product form.  A rhs beyond the float range raises.
+    The rhs is evaluated exactly through its stored factorization
+    (u - 2)^a Q^mult and rounded once at the end: a sample point is
+    u = k / 2^s, so 2^(s deg Q) Q(u) is the integer sum of c_j k^j
+    2^(s(deg Q - j)), a Horner sum in k of shifted c_j, and 2^(s deg) rhs(u)
+    is (k - 2^(s+1))^a times its mult-th power; int / int rounds correctly.
+    The deviation therefore measures only the error of the floating-point
+    product form.  A rhs beyond the float range raises.
     """
-    deg = eq.rhs.degree()
+    a, q, mult = eq.rhs_factored
+    deg = a + mult * q.degree()
     count = 2 * deg + 1
     worst = 0.0
     for i in range(count):
         u = -3.0 + 6.0 * i / (count - 1)
-        k, q = u.as_integer_ratio()
-        s = q.bit_length() - 1
+        k, den = u.as_integer_ratio()
+        s = den.bit_length() - 1
         scaled = shift = 0
-        for c in reversed(eq.rhs.coeffs):
+        for c in reversed(q.coeffs):
             scaled, shift = scaled * k + (c << shift), shift + s
+        scaled = (k - (2 << s)) ** a * scaled ** mult
         try:
             exact = scaled / (1 << s * deg)
             approx = _product_form_value(eq, params, u)
@@ -146,4 +156,3 @@ def verify_equation_numeric(eq: GeneratorEquation,
         dev = abs(exact - approx) / max(1.0, abs(exact), abs(approx))
         worst = max(worst, dev)
     return NumericCheck(worst < TOLERANCE, worst, count, TOLERANCE)
-

@@ -23,7 +23,7 @@ from functools import cached_property, partial
 from . import generators as gens
 from . import invariants as inv
 from . import rowspan
-from .exact import X, IntPolynomial, chebyshev_c
+from .exact import IntPolynomial, chebyshev_c
 from .rowspan import (CurveParams, _matrix_rows, in_deck_group, klein_orbits,
                       row_span, span_closure, summands)
 from .surface import (build_surface, cylinder_preservation_check,
@@ -330,11 +330,12 @@ def _cosine_root_identity(q: IntPolynomial, m: int) -> bool:
     determines Q, so the identity holds exactly when Q is that cosine
     product: its roots are real, simple and in [-2, 2].
     """
-    p_squared_plus_one = X * X + IntPolynomial((1,))
     # Horner in p^2 + 1: R_d = c_d, R_k = c_k p^(d-k) + (p^2 + 1) R_(k+1)
-    lhs = IntPolynomial(())
+    acc: list[int] = []
     for i, c in enumerate(reversed(q.coeffs)):
-        lhs = IntPolynomial((0,) * i + (c,)) + p_squared_plus_one * lhs
+        acc = [r + t for r, t in zip(acc + [0, 0], [0, 0] + acc)]
+        acc[i] += c
+    lhs = IntPolynomial(acc)
     if m % 2:
         return lhs == IntPolynomial((1,) * m)
     return lhs == IntPolynomial((1,) + (0,) * (m - 1) + (1,))
@@ -346,6 +347,9 @@ def _generator_pair(ctx: PairContext) -> str | None:
     expected_deg = m if m % 2 else (n + m if n % 2 else (n + m) // 2)
     if eq.rhs.degree() != expected_deg:
         return f"({n},{m}): rhs degree {eq.rhs.degree()} != {expected_deg}"
+    lin, q, mult = eq.rhs_factored
+    if gens.u_minus_2_power(lin) * q ** mult != eq.rhs:
+        return f"({n},{m}): stored factorization does not multiply out"
     check = gens.verify_equation_numeric(eq, ctx.params)
     if not check.ok:
         return (f"({n},{m}): product form deviates by "
@@ -362,9 +366,6 @@ def _generator_pair(ctx: PairContext) -> str | None:
         law = "D^2 | ((u - 2) rhs)^2"
     if not holds:
         return f"({n},{m}): one-form law {law} fails"
-    lin, q, mult = eq.rhs_factored
-    if (gens.U_MINUS_2 ** lin) * (q ** mult) != eq.rhs:
-        return f"({n},{m}): stored factorization does not multiply out"
     if not _cosine_root_identity(q, m):
         return f"({n},{m}): cosine factor is not prod (u - 2cos t)"
     # the paper's Chebyshev forms; for both even, rhs^2 is the n odd form
@@ -372,7 +373,7 @@ def _generator_pair(ctx: PairContext) -> str | None:
     if m % 2:
         form, got = chebyshev_c(m) - two, eq.rhs
     else:
-        form = gens.U_MINUS_2 ** n * (chebyshev_c(m) + two)
+        form = gens.u_minus_2_power(n) * (chebyshev_c(m) + two)
         got = eq.rhs * eq.rhs if n % 2 == 0 else eq.rhs
     if got != form:
         return f"({n},{m}): rhs differs from the paper's Chebyshev form"

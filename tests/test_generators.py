@@ -4,10 +4,10 @@ import pytest
 
 from vwbm.exact import IntPolynomial, chebyshev_c
 from vwbm.generators import (CASE_BOTH_EVEN, CASE_M_EVEN_N_ODD, CASE_M_ODD,
-                             U_MINUS_2, GeneratorEquation, _product_form_value,
-                             generator_equation, verify_equation_numeric)
+                             U_MINUS_2, _product_form_value, generator_equation,
+                             u_minus_2_power, verify_equation_numeric)
 from vwbm.rowspan import CurveParams
-from vwbm.verify import PairContext, _generator_pair, valid_pairs
+from vwbm.verify import PairContext, _generator_pair, run_suite, valid_pairs
 
 
 def poly(*coeffs):
@@ -163,15 +163,25 @@ def test_shifted_exact_samples_equal_the_power_of_q_reference(monkeypatch):
 
 
 def test_numeric_verification_rejects_corruption():
+    # Q + 1 in the rhs and in its factorization alike: the exact samples,
+    # taken through the factorization, see the change
     params = CurveParams(2, 7)
     eq = generator_equation(params)
-    bumped = list(eq.rhs.coeffs)
-    bumped[0] += 1
-    corrupted = GeneratorEquation(eq.case, eq.y_exponent,
-                                  IntPolynomial(tuple(bumped)),
-                                  eq.rhs_factored,
-                                  eq.differential_denominator)
+    a, q, mult = eq.rhs_factored
+    bumped = q + poly(1)
+    corrupted = eq._replace(rhs=U_MINUS_2 ** a * bumped ** mult,
+                            rhs_factored=(a, bumped, mult))
     assert not verify_equation_numeric(corrupted, params).ok
+
+
+def test_power_cache_is_bounded_and_computes_each_power_once(monkeypatch):
+    # the rhs, the multiply-out check and the even-m Chebyshev check share
+    # (u - 2)^k; a sweep to 16 draws k = 1, ..., 16, each once
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    assert u_minus_2_power.cache_info().maxsize is not None
+    u_minus_2_power.cache_clear()
+    assert all(r.passed for r in run_suite(16, "generators"))
+    assert u_minus_2_power.cache_info().misses == 16
 
 
 # ---------------------------------------------------------------------------

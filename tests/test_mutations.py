@@ -12,6 +12,7 @@ import pytest
 
 from vwbm import generators, invariants, rowspan, surface, verify
 from vwbm.cli import main
+from vwbm.exact import IntPolynomial
 from vwbm.verify import run_suite
 
 
@@ -192,3 +193,40 @@ def test_lifts_level_fails_on_a_doubled_sigma4_census(monkeypatch):
     failed = {r.name: r.detail for r in run_suite(12, "lifts") if not r.passed}
     assert failed == {"pillowcase symmetry lift suite":
                       "(2,3): 2 lift classes, expected 1"}
+
+
+def _generators_level_failures(monkeypatch, corrupt):
+    # corrupt(eq) replaces the equation that generator_equation returns
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    generator_equation = generators.generator_equation
+    monkeypatch.setattr(generators, "generator_equation",
+                        lambda params: corrupt(generator_equation(params)))
+    return {r.name: r.detail
+            for r in run_suite(12, "generators") if not r.passed}
+
+
+def test_generators_level_fails_on_a_rhs_off_its_factorization(monkeypatch):
+    # the multiply-out statement comes before the numeric one, which
+    # samples the rhs through its factorization
+    def bumped(eq):
+        coeffs = list(eq.rhs.coeffs)
+        coeffs[0] += 1
+        return eq._replace(rhs=IntPolynomial(coeffs))
+
+    assert _generators_level_failures(monkeypatch, bumped) == {
+        "generator equations exact vs numeric":
+            "(2,3): stored factorization does not multiply out"}
+
+
+def test_generators_level_fails_on_q_plus_1_in_both(monkeypatch):
+    # a factorization that multiplies out is still compared with the
+    # float cosine product
+    def bumped(eq):
+        a, q, mult = eq.rhs_factored
+        q = q + IntPolynomial((1,))
+        return eq._replace(rhs=generators.u_minus_2_power(a) * q ** mult,
+                           rhs_factored=(a, q, mult))
+
+    assert _generators_level_failures(monkeypatch, bumped) == {
+        "generator equations exact vs numeric":
+            "(2,3): product form deviates by 1.000e+00"}
