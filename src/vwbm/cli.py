@@ -13,12 +13,15 @@ imports neither argparse nor json: ``_fast_args`` reads its argv from
 and ``_dumps`` writes json with the bytes of ``json.dumps``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
-141 when the reader closes stdout.
+141 when the reader closes stdout, whatever the size of the output: ``main``
+flushes stdout itself, help and ``--version`` included.
 Data goes to stdout, diagnostics to stderr.  VWBM_THREADS caps the worker
 pool used by the verification sweeps.
 """
 from __future__ import annotations
 
+import atexit
+import gc
 import os
 import sys
 from math import gcd
@@ -447,11 +450,25 @@ def _fast_args(argv: list[str]):
     return args
 
 
+_freeze_at_exit = None
+
+
 def main(argv=None) -> int:
+    # the process exits without tracing its heap: atexit callbacks run
+    # before the interpreter's finalization collections, which skip frozen
+    # objects; refcounting still frees them, and an in-process caller keeps
+    # its collector until its own exit.  Registered once per process, since
+    # atexit.unregister leaves an empty slot behind
+    global _freeze_at_exit
+    if _freeze_at_exit is None:
+        _freeze_at_exit = atexit.register(gc.freeze)
     argv = sys.argv[1:] if argv is None else argv
-    args = _fast_args(argv) or build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        try:
+            args = _fast_args(argv) or build_parser().parse_args(argv)
+            return args.fn(args)
+        finally:  # a small output, help and --version included, fails here
+            sys.stdout.flush()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

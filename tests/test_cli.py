@@ -386,6 +386,75 @@ def test_closed_stdout_exits_141_quietly():
     assert (proc.returncode, err) == (141, b"")
 
 
+@pytest.mark.parametrize("argv", [("info", "2", "7"), ("surface", "3", "4"),
+                                  ("verify", "4", "--level", "covers"),
+                                  ("--version",), ("-h",), ("info", "-h")])
+def test_closed_stdout_exits_141_quietly_for_small_outputs(argv):
+    # the reader is gone before a small output is flushed, so no write fails
+    # while the command runs: main's own flush fails, not the one at exit.
+    # Buffered stdout, the default: unbuffered, argparse drops a failed
+    # write of help or --version itself and exits 0
+    env = fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "vwbm.cli", *argv],
+                              env=env, stdout=write, stderr=subprocess.PIPE,
+                              timeout=300)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("argv", [("surface", "3", "4"), ("info", "2", "7"),
+                                  ("verify", "4", "--level", "covers"),
+                                  ("info", "2", "2")])
+def test_process_exits_with_its_heap_frozen(argv):
+    # atexit runs callbacks last registered first, so a probe registered
+    # before main runs after main's gc.freeze: the interpreter's collections
+    # at exit then skip the heap, and the bytes and exit code stay those of
+    # `python -m vwbm.cli`, an exit 2 refusal among them
+    probe = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0,
+                              file=sys.stderr))
+from vwbm.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+    plain, probed = (
+        subprocess.run([sys.executable, *head, *argv], env=fresh_env(),
+                       capture_output=True, text=True, timeout=300)
+        for head in (("-m", "vwbm.cli"), ("-c", probe)))
+    assert (probed.returncode, probed.stdout) == (plain.returncode,
+                                                  plain.stdout)
+    assert probed.stderr == plain.stderr + "frozen True\n"
+
+
+def test_main_leaves_the_callers_collector_alone(capsys):
+    # an in-process caller keeps collecting: main registers gc.freeze for
+    # the exit, once however often it runs, and freezes nothing now
+    import atexit
+    import gc
+    before = atexit._ncallbacks()
+    assert run(capsys, "surface", "3", "4")[0] == 0
+    assert run(capsys, "info", "2", "7")[0] == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == (0, True)
+    assert atexit._ncallbacks() - before <= 1
+
+
+def test_worker_pool_prints_the_bytes_of_one_worker():
+    # the pool's workers leave through multiprocessing's exit path, which
+    # runs no atexit callback; the parent exits with its heap frozen
+    one, two = (
+        subprocess.run([sys.executable, "-m", "vwbm.cli", "verify", "6"],
+                       env={**fresh_env(), "VWBM_THREADS": threads},
+                       capture_output=True, text=True, timeout=300)
+        for threads in ("1", "2"))
+    assert (one.returncode, one.stderr) == (0, "")
+    assert (two.returncode, two.stdout, two.stderr) == (0, one.stdout, "")
+
+
 @pytest.mark.parametrize("argv", [("info", "689", "2"),
                                   ("generator", "689", "2", "--format", "md")])
 def test_rhs_beyond_the_float_range_is_an_error_not_a_traceback(argv):
