@@ -4,10 +4,10 @@ from .exact import (IntPolynomial, chebyshev_c, cyclotomic_poly, euler_phi,
                     subfield_degree)
 from .generators import (GeneratorEquation, generator_equation,
                          verify_equation_numeric)
-from .invariants import (Classification, CurveReport, admissible_triangle_group,
-                         algebraically_primitive, classify, covers,
-                         curve_report, genus, hecke_scalars, is_arithmetic,
-                         trace_degrees, trace_degrees_oracle, verify_cover)
+from .invariants import (CurveReport, admissible_triangle_group,
+                         algebraically_primitive, covers, curve_report, genus,
+                         hecke_scalars, is_arithmetic, trace_degrees,
+                         trace_degrees_oracle, verify_cover)
 from .rowspan import CurveParams, Summand, row_span, summands
 from .surface import (CombSurface, Square, SymmetryLift, build_surface,
                       cylinder_preservation_check, lift_class_count,
@@ -19,8 +19,8 @@ __all__ = [
     "IntPolynomial", "chebyshev_c", "cyclotomic_poly", "euler_phi",
     "subfield_degree",
     "GeneratorEquation", "generator_equation", "verify_equation_numeric",
-    "Classification", "CurveReport", "admissible_triangle_group",
-    "algebraically_primitive", "classify", "covers", "curve_report", "genus",
+    "CurveReport", "admissible_triangle_group", "algebraically_primitive",
+    "covers", "curve_report", "genus",
     "hecke_scalars", "is_arithmetic", "trace_degrees", "trace_degrees_oracle",
     "verify_cover",
     "CurveParams", "Summand", "row_span", "summands",

@@ -13,8 +13,8 @@ imports neither argparse nor json: ``_fast_args`` reads its argv from
 and ``_dumps`` writes json with the bytes of ``json.dumps``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error,
-141 when the reader closes stdout, whatever the size of the output: ``main``
-flushes stdout itself, help and ``--version`` included.
+141 when the reader closes stdout, whatever the size or buffering of the
+output: ``main`` meets the failed write, help and ``--version`` included.
 Data goes to stdout, diagnostics to stderr.  VWBM_THREADS caps the worker
 pool used by the verification sweeps.
 """
@@ -401,7 +401,14 @@ OPTIONS = {
 
 def build_parser():
     import argparse
-    parser = argparse.ArgumentParser(
+
+    class Parser(argparse.ArgumentParser):  # closed stdout: exit 141 there too
+        def _print_message(self, message, file=None):
+            if file is not sys.stdout:
+                return super()._print_message(message, file)
+            file.write(message)  # argparse would drop a BrokenPipeError
+
+    parser = Parser(
         prog="vwbm",
         description="Exact invariants of the Veech-Ward-Bouw-Moller "
                     "Teichmuller curves T(n, m).")

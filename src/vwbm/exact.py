@@ -34,7 +34,7 @@ class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
     """A polynomial over Z, as ascending coefficients with no trailing zeros.
 
     ``IntPolynomial((1, 0, 1))`` is x^2 + 1, ``IntPolynomial(())`` is 0.
-    The ring operators below replace tuple concatenation and repetition.
+    ``p + q`` and ``p * q`` are ring operations; ``3 * p`` is tuple repetition.
     """
 
     __slots__ = ()
@@ -77,8 +77,6 @@ class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
         return IntPolynomial(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coeffs))
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         if self.is_zero() or other.is_zero():
@@ -89,8 +87,6 @@ class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPolynomial(tuple(out))
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "IntPolynomial":
         if k < 0:
@@ -137,9 +133,6 @@ class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
         if not r.is_zero():
             raise ValueError("inexact polynomial division")
         return q
-
-    def __str__(self) -> str:
-        return poly_str(self)
 
 
 X = IntPolynomial((0, 1))

@@ -56,9 +56,9 @@ class GeneratorEquation(namedtuple("GeneratorEquation", (
 
     def factored_text(self) -> str:
         a, q, mult = self.rhs_factored
-        lin = "" if a == 0 else f"(u - 2)^{a}" if a > 1 else "(u - 2)"
+        lin = f"(u - 2)^{a}" if a > 1 else "(u - 2)"
         body = f"({poly_str(q)})" + ("" if mult == 1 else f"^{mult}")
-        return f"y^{self.y_exponent} = {lin}{body}" if lin else f"y^{self.y_exponent} = {body}"
+        return f"y^{self.y_exponent} = {lin}{body}"
 
 
 @lru_cache(maxsize=128)
@@ -95,7 +95,7 @@ def generator_equation(params: CurveParams) -> GeneratorEquation:
 @lru_cache(maxsize=128)
 def _cosine_factors(m: int) -> tuple[float, ...]:
     """Roots 2cos(.) of the square-free cosine product, as floats; they
-    depend only on the parity of m."""
+    depend on m, and their formula on the parity of m."""
     if m % 2:
         return tuple(2.0 * math.cos(2.0 * math.pi * j / m)
                      for j in range(1, (m - 1) // 2 + 1))

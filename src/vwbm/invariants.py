@@ -73,28 +73,16 @@ class Uniformizer(namedtuple("Uniformizer", "signature index_two",
         return (self.index_two, key)
 
 
-class Classification(namedtuple("Classification", (
-        "arithmetic uniformizer zero_count zeros_equal_order"))):
-    __slots__ = ()
-
-
-def classify(params: CurveParams) -> Classification:
-    """Arithmeticity, uniformizing group, and zero data of the generator.
-
-    The generating one-form has gamma zeros of equal order, except when
-    n = m is even, where it has gamma / 2.
-    """
-    n, m, g = params.n, params.m, params.gamma
+def uniformizer(params: CurveParams) -> Uniformizer:
+    """The uniformizing group of T(n, m)."""
+    n, m = params.n, params.m
     if n != m and (n % 2 or m % 2):
-        uni = Uniformizer((n, m, None))
-    elif n != m:
-        uni = Uniformizer((n, m, None), index_two=True)
-    elif n % 2:
-        uni = Uniformizer((2, n, None))
-    else:
-        uni = Uniformizer((n // 2, None, None))
-    zeros = g // 2 if (n == m and n % 2 == 0) else g
-    return Classification(is_arithmetic(params), uni, zeros, True)
+        return Uniformizer((n, m, None))
+    if n != m:
+        return Uniformizer((n, m, None), index_two=True)
+    if n % 2:
+        return Uniformizer((2, n, None))
+    return Uniformizer((n // 2, None, None))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +117,7 @@ def covers(params: CurveParams) -> tuple[CurveParams, ...]:
             small = CurveParams(np_, mp)
             if covers_criterion(params, small):
                 out.append(small)
-    return tuple(sorted(out, key=lambda p: (p.n, p.m)))
+    return tuple(out)
 
 
 class CoverCertificate(namedtuple("CoverCertificate",
@@ -281,10 +269,10 @@ class CurveReport(namedtuple("CurveReport", (
 def curve_report(params: CurveParams) -> CurveReport:
     """Compute every invariant of T(n, m) by its closed form and bundle it
     into one report; the oracles stay in ``verify``."""
-    cls = classify(params)
+    n, m, g = params.n, params.m, params.gamma
     deg_f, deg_e = trace_degrees(params)
     notes = [f"T({params.n},{params.m}) = T({params.m},{params.n})"]
-    if cls.arithmetic:
+    if is_arithmetic(params):
         notes.append("arithmetic: generated by a square-tiled surface")
     if 2 in (params.n, params.m):
         k = params.m if params.n == 2 else params.n
@@ -298,9 +286,10 @@ def curve_report(params: CurveParams) -> CurveReport:
         params=params,
         genus=genus(params),
         summand_list=summands(params),
-        arithmetic=cls.arithmetic,
-        uniformizer=cls.uniformizer,
-        zeros=(cls.zero_count, cls.zeros_equal_order),
+        arithmetic=is_arithmetic(params),
+        uniformizer=uniformizer(params),
+        # zeros of equal order: gamma of them, or gamma/2 when n = m is even
+        zeros=(g // 2 if n == m and n % 2 == 0 else g, True),
         covers=covers(params),
         trace_degree_F=deg_f,
         trace_degree_E=deg_e,

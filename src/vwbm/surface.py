@@ -55,20 +55,22 @@ Commutation is not checked at all: involutive lifts L2 of sigma2 and L4 of
 sigma4 always commute, since L2 L4 keeps colors and has linear part -I, so
 it is an involution and L4 L2 = (L2 L4)^-1 = L2 L4.
 
-Fixed edges and cylinders are equations in the deck group G as well.  The
-lift fixes the edge with a given tag of the white square c exactly when
-(A - I) c = offset_tag - s_w.  The solutions form a coset of ker(A - I) when
-the target lies in the cyclic group (A - I) G and are empty otherwise, and
-the targets of the two fixable tags lie in one coset of (A - I) G, so the
-fixed edges are counted, never listed.  The lift preserves the cylinders
-when c -> (A - I) c + s_k - offset_k lands in a cyclic subgroup, tested at
-c = 0 and at the four columns, which generate G.
-
-The lift census counts instead of enumerating.  The candidate translates
-of a base lift form a coset of (A - I) G on which the involution identity
-is constant, every pair of involutive lifts commutes (above), and deck
-conjugation translates the pairs with a known kernel, so the number of
-classes is a quotient of group orders.
+Fixed edges, cylinders and the census live in one cyclic group per
+symmetry, (A - I) G.  The columns are +-col_1 and +-swap col_1, and
+(A - I) swap = -+(A - I), so (A - I) G is generated by (A - I) col_1 =
+(2n, -2n) = -(col_1 + col_4) for sigma2 and (2m, 2m) = -(col_1 + col_2) for
+sigma4: it is the cylinder group, of order m, resp. n.  The lift fixes the
+edge with a given tag of the white square c exactly when (A - I) c =
+offset_tag - s_w, a coset of ker(A - I) when the target lies in the group
+and empty otherwise; the targets of the two fixable tags lie in one coset
+of it, so fixed edges are counted, never listed.  The lift preserves the
+cylinders when c -> (A - I) c + s_k - offset_k lands in the group, tested at
+c = 0 and at the four columns, which generate G.  The census counts
+instead of enumerating: the candidate translates of a base lift form a
+coset of the group on which the involution identity is constant, every
+pair of involutive lifts commutes (above), and deck conjugation translates
+the pairs with a known kernel, so the number of classes is a quotient of
+group orders.
 """
 from __future__ import annotations
 
@@ -124,10 +126,6 @@ class CombSurface(namedtuple("CombSurface", "params columns")):
         N = self.modulus
         return ((a[0] - b[0]) % N, (a[1] - b[1]) % N)
 
-    def neg(self, a: Pair) -> Pair:
-        N = self.modulus
-        return ((-a[0]) % N, (-a[1]) % N)
-
 
 def build_surface(params: CurveParams) -> CombSurface:
     """The surface over the columns of the defining matrix; G is not listed."""
@@ -145,7 +143,7 @@ class SymmetryLift(namedtuple("SymmetryLift",
     def linear(self, c: Pair) -> Pair:
         if self.kind == "sigma2":
             return (c[1], c[0])
-        return self.surface.neg((c[1], c[0]))
+        return self.surface.sub((0, 0), (c[1], c[0]))
 
     def displacement(self, c: Pair) -> Pair:
         """(A - I) c for the linear part A."""
@@ -199,17 +197,18 @@ def _edge_target(surface: CombSurface, lift: SymmetryLift) -> Pair:
     return surface.sub(offset, lift.shifts[0])
 
 
-def displacement_image(surface: CombSurface, lift: SymmetryLift) -> set[Pair]:
-    """(A - I) G: the columns are +-col_1 and +-swap col_1, and (A - I) swap
-    = -+(A - I), so it is the cyclic group of (A - I) col_1."""
-    return surface.multiples(lift.displacement(surface.columns[0]))
+def _cylinder_generator(surface: CombSurface, lift: SymmetryLift) -> Pair:
+    """col_1 + col_4 for sigma2 and col_1 + col_2 for sigma4: its multiples
+    are the lift's cylinder group and (A - I) G; see the module docstring."""
+    c1, c2, _, c4 = surface.columns
+    return surface.add(c1, c4 if lift.kind == "sigma2" else c2)
 
 
 def fixed_edges(surface: CombSurface, lift: SymmetryLift) -> int:
     """The number of edges the lift fixes: per fixable tag, the white c
     with (A - I) c = target form a coset of ker(A - I), of order
     |G| / |(A - I) G|, or none when the target is outside (A - I) G."""
-    image = displacement_image(surface, lift)
+    image = surface.multiples(_cylinder_generator(surface, lift))
     if _edge_target(surface, lift) not in image:
         return 0
     return len(FIXABLE_TAGS[lift.kind]) * surface.order // len(image)
@@ -260,12 +259,9 @@ def cylinder_preservation_check(surface: CombSurface, lift: SymmetryLift) -> str
     T1 T2.  The difference is affine in the label, so it is tested at
     c = 0 and at the four columns, and a failure names the square.
     """
-    c1, c2, c3, c4 = surface.columns
-    if lift.kind == "sigma2":
-        gen, offsets = surface.add(c1, c4), ((0, 0), (0, 0))
-    else:
-        gen, offsets = surface.add(c1, c2), (c4, c3)
-    sub = surface.multiples(gen)
+    _, _, c3, c4 = surface.columns
+    offsets = ((0, 0), (0, 0)) if lift.kind == "sigma2" else (c4, c3)
+    sub = surface.multiples(_cylinder_generator(surface, lift))
     for color, shift, offset in zip((WHITE, BLACK), lift.shifts, offsets):
         constant = surface.sub(shift, offset)
         for c in ((0, 0),) + surface.columns:
@@ -298,8 +294,8 @@ def _lift_candidates(surface: CombSurface, base: SymmetryLift) -> int:
     target = _edge_target(surface, base)
     if surface.add(base.linear(target), target) != (0, 0):
         return 0
-    # |(A - I) G|, the order of (A - I) col_1; see ``displacement_image``
-    return surface.order_of(base.displacement(surface.columns[0]))
+    # |(A - I) G|; see ``_cylinder_generator``
+    return surface.order_of(_cylinder_generator(surface, base))
 
 
 def lift_class_count(surface: CombSurface) -> int:

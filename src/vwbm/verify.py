@@ -31,17 +31,13 @@ from .surface import (build_surface, cylinder_preservation_check,
                       lift_sigma2, lift_sigma4, sigma4_variants, surface_genus)
 
 
-# the default stats is one shared dict, read but never written
-class CheckResult(namedtuple("CheckResult", "name passed detail stats",
-                             defaults=("", {}))):
+class CheckResult(namedtuple("CheckResult", "name passed detail stats")):
     __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         extra = f"  [{self.detail}]" if (self.detail and not self.passed) else ""
-        pairs = self.stats.get("pairs")
-        counted = f" ({pairs} pairs)" if pairs is not None else ""
-        return f"{status}  {self.name}{counted}{extra}"
+        return f"{status}  {self.name} ({self.stats['pairs']} pairs){extra}"
 
 
 def valid_pairs(nmax: int) -> list[tuple[int, int]]:
@@ -91,12 +87,9 @@ class PairContext:
 
 class Check(namedtuple("Check", "name worker")):
     """A named check and its worker, which reads a pair's context and
-    returns a counterexample or None.  Calling it sweeps valid_pairs(nmax)."""
+    returns a counterexample or None; ``run_suite`` sweeps the checks."""
 
     __slots__ = ()
-
-    def __call__(self, nmax: int) -> CheckResult:
-        return _sweep((self,), nmax)[0]
 
 
 def _pair_outcomes(checks, pair) -> tuple[str | None, ...]:
@@ -453,7 +446,7 @@ def _swap_pair(ctx: PairContext) -> str | None:
         return f"({n},{m}): trace degrees change under swap"
     if inv.algebraically_primitive(a).primitive != inv.algebraically_primitive(b).primitive:
         return f"({n},{m}): primitivity changes under swap"
-    if inv.classify(a).uniformizer.normalized() != inv.classify(b).uniformizer.normalized():
+    if inv.uniformizer(a).normalized() != inv.uniformizer(b).normalized():
         return f"({n},{m}): uniformizer changes under swap"
     left = sorted(tuple(sorted((c.n, c.m))) for c in inv.covers(a))
     right = sorted(tuple(sorted((c.n, c.m))) for c in inv.covers(b))

@@ -9,12 +9,14 @@ from fractions import Fraction
 
 from vwbm.invariants import algebraically_primitive, covers, genus, is_arithmetic, verify_cover
 from vwbm.rowspan import CurveParams, summands
-from vwbm.verify import (check_covers, check_generators,
-                         check_genus_agreement, check_lifts,
-                         check_primitivity, check_spectrum_laws,
-                         check_trace_fields, valid_pairs)
+from vwbm.verify import run_suite, valid_pairs
 
 F = Fraction
+
+
+def _result(nmax, level, name):
+    """The result of the named check, swept through run_suite."""
+    return next(r for r in run_suite(nmax, level) if r.name == name)
 
 
 def _angles(s):
@@ -112,7 +114,7 @@ def test_criterion_1_reference_tables():
 
 def test_criterion_2_genus_triple_agreement():
     start = time.perf_counter()
-    result = check_genus_agreement(20)
+    result = _result(20, "genus", "genus triple agreement")
     elapsed = time.perf_counter() - start
     _announce(2, "genus closed form = summand count = orbit dimension sum "
                  "(n, m <= 20)", result.passed, elapsed, 30)
@@ -122,7 +124,7 @@ def test_criterion_2_genus_triple_agreement():
 
 def test_criterion_3_trace_degrees():
     start = time.perf_counter()
-    result = check_trace_fields(20)
+    result = _result(20, "trace", "trace degrees formula vs oracle")
     elapsed = time.perf_counter() - start
     _announce(3, "trace degrees closed form = Galois oracle, degree-two "
                  "extension set (n, m <= 20)", result.passed, elapsed, 120)
@@ -132,7 +134,8 @@ def test_criterion_3_trace_degrees():
 
 def test_criterion_4_covering_relations():
     start = time.perf_counter()
-    result = check_covers(16)
+    result = _result(16, "covers",
+                     "covering criterion vs containment oracle")
     big = CurveParams(2, 24)
     headline = (
         verify_cover(big, CurveParams(2, 8)).holds
@@ -150,7 +153,8 @@ def test_criterion_4_covering_relations():
 
 def test_criterion_5_algebraic_primitivity():
     start = time.perf_counter()
-    result = check_primitivity(20)
+    result = _result(20, "trace",
+                     "algebraic primitivity criterion vs degrees")
     spots = (
         algebraically_primitive(CurveParams(2, 7)).primitive
         and not algebraically_primitive(CurveParams(3, 5)).primitive
@@ -170,7 +174,7 @@ def test_criterion_5_algebraic_primitivity():
 
 def test_criterion_6_square_tiled_symmetry_suite():
     start = time.perf_counter()
-    result = check_lifts(12)
+    result = _result(12, "lifts", "pillowcase symmetry lift suite")
     elapsed = time.perf_counter() - start
     _announce(6, "symmetry lifts: involutions, commutation, conjugation "
                  "relations, cylinders, class count (n, m <= 12)",
@@ -181,7 +185,8 @@ def test_criterion_6_square_tiled_symmetry_suite():
 
 def test_criterion_7_generator_equations():
     start = time.perf_counter()
-    result = check_generators(16)
+    result = _result(16, "generators",
+                     "generator equations exact vs numeric")
     elapsed = time.perf_counter() - start
     _announce(7, "generator equations: exact identities and 1e-9 numeric "
                  "cross-check (n, m <= 16)", result.passed, elapsed, 10)
@@ -191,7 +196,8 @@ def test_criterion_7_generator_equations():
 
 def test_criterion_8_spectrum_law():
     start = time.perf_counter()
-    result = check_spectrum_laws(20)
+    result = _result(20, "spectrum",
+                     "spectrum laws and tiling correspondence")
     step_ok = True
     for n, m in valid_pairs(20):
         params = CurveParams(n, m)

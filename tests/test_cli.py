@@ -390,21 +390,25 @@ def test_closed_stdout_exits_141_quietly():
                                   ("verify", "4", "--level", "covers"),
                                   ("--version",), ("-h",), ("info", "-h")])
 def test_closed_stdout_exits_141_quietly_for_small_outputs(argv):
-    # the reader is gone before a small output is flushed, so no write fails
-    # while the command runs: main's own flush fails, not the one at exit.
-    # Buffered stdout, the default: unbuffered, argparse drops a failed
-    # write of help or --version itself and exits 0
-    env = fresh_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    read, write = os.pipe()
-    os.close(read)
-    try:
-        proc = subprocess.run([sys.executable, "-m", "vwbm.cli", *argv],
-                              env=env, stdout=write, stderr=subprocess.PIPE,
-                              timeout=300)
-    finally:
-        os.close(write)
-    assert (proc.returncode, proc.stderr) == (141, b"")
+    # the reader is gone before a small output is flushed.  Buffered, no
+    # write fails while the command runs and main's own flush fails, not the
+    # one at exit; unbuffered, the write fails, and for help and --version
+    # it is argparse's, which the parser must not drop
+    for unbuffered in (False, True):
+        env = fresh_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "vwbm.cli", *argv],
+                                  env=env, stdout=write,
+                                  stderr=subprocess.PIPE, timeout=300)
+        finally:
+            os.close(write)
+        assert (unbuffered, proc.returncode, proc.stderr) == (
+            unbuffered, 141, b"")
 
 
 @pytest.mark.parametrize("argv", [("surface", "3", "4"), ("info", "2", "7"),

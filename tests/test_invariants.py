@@ -4,10 +4,10 @@ import pytest
 
 from vwbm.exact import _root_sum_vector, euler_phi
 from vwbm.invariants import (admissible_triangle_group,
-                             algebraically_primitive, classify, covers,
+                             algebraically_primitive, covers,
                              covers_criterion, curve_report, genus,
                              hecke_scalars, is_arithmetic, trace_degrees,
-                             trace_degrees_oracle, verify_cover)
+                             trace_degrees_oracle, uniformizer, verify_cover)
 from vwbm.rowspan import CurveParams, summands
 from vwbm.verify import valid_pairs
 
@@ -49,26 +49,20 @@ def test_genus_closed_form(n, m, expected):
 
 
 # ---------------------------------------------------------------------------
-# classification
+# uniformizer, arithmeticity and zeros
 # ---------------------------------------------------------------------------
 
-def test_classify_examples():
-    c = classify(CurveParams(3, 3))
-    assert c.arithmetic and c.uniformizer.label() == "Delta(2,3,oo)"
-    assert c.zero_count == 3
-
-    c = classify(CurveParams(4, 6))
-    assert not c.arithmetic
-    assert c.uniformizer.label() == "IndexTwoSubgroup(Delta(4,6,oo))"
-    assert c.zero_count == 2
-
-    c = classify(CurveParams(8, 8))
-    assert c.uniformizer.label() == "Delta(4,oo,oo)"
-    assert c.zero_count == 4
-
-    c = classify(CurveParams(2, 7))
-    assert c.uniformizer.label() == "Delta(2,7,oo)"
-    assert c.zero_count == 1 and c.zeros_equal_order
+def test_uniformizer_and_zero_count_examples():
+    for n, m, arithmetic, label, zeros in [
+            (3, 3, True, "Delta(2,3,oo)", 3),
+            (4, 6, False, "IndexTwoSubgroup(Delta(4,6,oo))", 2),
+            (8, 8, False, "Delta(4,oo,oo)", 4),
+            (2, 7, False, "Delta(2,7,oo)", 1)]:
+        report = curve_report(CurveParams(n, m))
+        assert report.arithmetic is arithmetic
+        assert report.uniformizer == uniformizer(CurveParams(n, m))
+        assert report.uniformizer.label() == label
+        assert report.zeros == (zeros, True)
 
 
 def test_arithmetic_list():
@@ -95,6 +89,13 @@ def test_covers_2_24():
 def test_covers_8_8():
     assert [(c.n, c.m) for c in covers(CurveParams(8, 8))] == [
         (2, 4), (4, 2), (4, 4)]
+
+
+def test_covers_are_listed_in_order():
+    # the divisor loops ascend, so no sort is needed
+    for pair in valid_pairs(40):
+        listed = [(c.n, c.m) for c in covers(CurveParams(*pair))]
+        assert listed == sorted(set(listed))
 
 
 def test_verify_cover_identity_and_rejection():

@@ -5,12 +5,17 @@ the check, and ``run_suite(12, level)`` must then fail that check with its
 own message (the idea of DeMillo, Lipton and Sayward, "Hints on test data
 selection", Computer 11(4), 1978).  A check that a refactor turned into a
 no-op passes under its mutation, and this test fails.
+
+A helper that both sides of a check call could carry a defect that neither
+side sees, so a second table plants defects in shared helpers, at the
+definition and in every module that binds the name.
 """
 import json
 
 import pytest
 
-from vwbm import generators, invariants, rowspan, surface, verify
+import vwbm
+from vwbm import cli, exact, generators, invariants, rowspan, surface, verify
 from vwbm.cli import main
 from vwbm.exact import IntPolynomial
 from vwbm.verify import run_suite
@@ -158,6 +163,73 @@ def test_check_fails_on_its_mutation(monkeypatch, level, mutate, name, detail):
     assert all(r.passed for r in run_suite(12, level))
     mutate(monkeypatch)
     failed = {r.name: r.detail for r in run_suite(12, level) if not r.passed}
+    assert failed.get(name) == detail
+
+
+PACKAGE = (vwbm, cli, exact, generators, invariants, rowspan, surface, verify)
+
+
+def _clear_caches():
+    # a memo filled before the plant would hide the defect, and one filled
+    # through the planted helper must not outlive the test
+    for module in PACKAGE:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+# test id: (the helper's home module, its name, the defect as a function of
+# the sound helper, level, the check it fails, that check's failure detail)
+SHARED_HELPER_MUTATIONS = {
+    "in_deck_group": (
+        rowspan, "in_deck_group",
+        lambda sound: lambda n, m, x: (
+            (x[0] + x[1]) % (2 * m) == 0 == (x[0] - x[1]) % (2 * n)),
+        "covers", "covering criterion vs containment oracle",
+        "(2,6) vs (2,3): criterion=False containment=True"),
+    "deck_group_order": (
+        rowspan, "deck_group_order", lambda sound: lambda n, m: 2 * n * m,
+        "genus", "genus triple agreement",
+        "(2,4): 7 zero-free span elements vs S-genus 13"),
+    "_span_entries": (
+        rowspan, "_span_entries", lambda sound: lambda n, m: sound(n, m)[:-1],
+        "rowspan", "row-span t identities",
+        "(2,3): row span differs from the closure of the rows"),
+    "euler_phi": (
+        exact, "euler_phi",
+        lambda sound: lambda K: sound(K) * (2 if K % 8 == 0 else 1),
+        "trace", "trace degrees formula vs oracle",
+        "(2,4): closed (4, 2) vs oracle (2, 1)"),
+    "_factorize": (
+        exact, "_factorize",
+        lambda sound: lambda K: [(p, 1) for p, _ in sound(K)],
+        "trace", "trace degrees formula vs oracle",
+        "(2,3): closed (0, 0) vs oracle (1, 1)"),
+    "subfield_degree": (
+        exact, "subfield_degree",
+        lambda sound: lambda K, gens: sound(K, gens) * (2 if K % 24 == 0 else 1),
+        "trace", "trace degrees formula vs oracle",
+        "(2,6): Hecke scalars do not generate E"),
+}
+
+
+@pytest.mark.parametrize("home, helper, defect, level, name, detail",
+                         list(SHARED_HELPER_MUTATIONS.values()),
+                         ids=list(SHARED_HELPER_MUTATIONS))
+def test_check_fails_on_a_shared_helper_mutation(
+        monkeypatch, home, helper, defect, level, name, detail):
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    assert all(r.passed for r in run_suite(12, level))
+    sound = getattr(home, helper)
+    for module in PACKAGE:
+        if vars(module).get(helper) is sound:
+            monkeypatch.setattr(module, helper, defect(sound))
+    _clear_caches()
+    try:
+        failed = {r.name: r.detail
+                  for r in run_suite(12, level) if not r.passed}
+    finally:
+        _clear_caches()
     assert failed.get(name) == detail
 
 

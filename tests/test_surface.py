@@ -4,8 +4,8 @@ from vwbm.cli import main
 from vwbm.rowspan import (CurveParams, _matrix_rows, _span_entries, row_span,
                           span_closure)
 from vwbm.surface import (BLACK, FIXABLE_TAGS, WHITE, Square, SymmetryLift,
-                          _edge_target, _lift_candidates, build_surface,
-                          cylinder_preservation_check, displacement_image,
+                          _cylinder_generator, _edge_target, _lift_candidates,
+                          build_surface, cylinder_preservation_check,
                           fixed_edges, intertwine_check, lift_class_count,
                           lift_sigma2, lift_sigma4, surface_genus)
 from vwbm.verify import valid_pairs
@@ -407,7 +407,7 @@ def test_edge_targets_share_one_displacement_coset(n, m):
     # multiples, and the oracle closes what the columns generate
     surface = build_surface(CurveParams(n, m))
     N = surface.modulus
-    c1, c2, c3, c4 = columns = surface.columns
+    c1, c2, c3, c4 = surface.columns
     lifts = [lift_sigma2(surface), lift_sigma4(surface, 1)]
     if n % 2 == 0 and m % 2 == 0:
         lifts.append(lift_sigma4(surface, 2))
@@ -415,12 +415,33 @@ def test_edge_targets_share_one_displacement_coset(n, m):
         first, second = (surface.sub(_offsets(surface)[tag], lift.shifts[0])
                          for tag in FIXABLE_TAGS[lift.kind])
         assert _edge_target(surface, lift) == first
-        image = displacement_image(surface, lift)
+        image = surface.multiples(_cylinder_generator(surface, lift))
         assert surface.sub(second, first) in image
-        assert image == set(span_closure(
-            [lift.displacement(c) for c in columns], N))
         g = surface.add(c1, c4 if lift.kind == "sigma2" else c2)
         assert surface.multiples(g) == set(span_closure((g,), N))
+
+
+@pytest.mark.parametrize("n,m", valid_pairs(24))
+def test_cylinder_group_is_the_displacement_image(n, m):
+    # (A - I) G, closed from the displaced columns, is the cyclic group of
+    # the cylinders, of order m for sigma2 and n for sigma4; the fixed-edge
+    # count through the multiples of (A - I) col_1 and the census closed
+    # form agree with the counts read off it
+    surface = build_surface(CurveParams(n, m))
+    lifts = [lift_sigma2(surface), lift_sigma4(surface, 1)]
+    if n % 2 == 0 and m % 2 == 0:
+        lifts.append(lift_sigma4(surface, 2))
+    for lift in lifts:
+        group = surface.multiples(_cylinder_generator(surface, lift))
+        assert group == set(span_closure(
+            [lift.displacement(c) for c in surface.columns],
+            surface.modulus))
+        assert len(group) == (m if lift.kind == "sigma2" else n)
+        image = surface.multiples(lift.displacement(surface.columns[0]))
+        edges = (2 * surface.order // len(image)
+                 if _edge_target(surface, lift) in image else 0)
+        assert fixed_edges(surface, lift) == edges > 0
+    assert lift_class_count(surface) == len(lifts) - 1
 
 
 @pytest.mark.parametrize("n,m", valid_pairs(8))

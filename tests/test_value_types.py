@@ -28,16 +28,20 @@ def test_invariants_hold_on_construction_and_replace():
     (CurveParams(3, 4), "extra"),
     (IntPolynomial((1, 1)), "coeffs"),
     (summands(CurveParams(2, 7))[0], "tiling"),
-    (CheckResult("demo", True), "passed"),
+    (CheckResult("demo", True, "", {"pairs": 1}), "passed"),
 ])
 def test_values_are_immutable(value, attr):
     with pytest.raises(AttributeError):
         setattr(value, attr, 0)
 
 
-def test_scalar_times_polynomial_scales_the_coefficients():
+def test_constant_polynomial_scales_the_coefficients():
+    # a scalar is multiplied as a constant polynomial, not as an int
     p = IntPolynomial((1, 1))
-    assert 3 * p == p * 3 == IntPolynomial((3, 3))
+    three = IntPolynomial((3,))
+    assert three * p == p * three == IntPolynomial((3, 3))
+    with pytest.raises(TypeError):
+        p * 3
     assert p + p == IntPolynomial((2, 2))
     assert repr(CurveParams(3, 4)) == "CurveParams(n=3, m=4)"
 

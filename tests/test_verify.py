@@ -8,9 +8,12 @@ from vwbm.generators import generator_equation
 from vwbm.rowspan import CurveParams, klein_orbits, row_span
 from vwbm.verify import (VERIFY_NMAX_MAX, Check, CheckResult,
                          _cosine_root_identity, _sweep, _thread_cap,
-                         check_klein_orbits, check_rowspan_identities,
-                         check_spectrum_laws, check_swap_symmetry, run_suite,
-                         valid_pairs)
+                         run_suite, valid_pairs)
+
+
+def _result(nmax, level, name):
+    """The result of the named check in run_suite(nmax, level)."""
+    return next(r for r in run_suite(nmax, level) if r.name == name)
 
 
 def test_valid_pairs_filter():
@@ -19,15 +22,15 @@ def test_valid_pairs_filter():
 
 
 def test_rowspan_identities_sweep():
-    assert check_rowspan_identities(12).passed
+    assert _result(12, "rowspan", "row-span t identities").passed
 
 
 def test_klein_orbit_sweep():
-    assert check_klein_orbits(12).passed
+    assert _result(12, "rowspan", "Klein orbit selection").passed
 
 
 def test_swap_symmetry_sweep():
-    assert check_swap_symmetry(12).passed
+    assert _result(12, "spectrum", "invariants agree under (n, m) swap").passed
 
 
 def test_run_suite_levels():
@@ -49,7 +52,7 @@ def test_run_suite_all_names_every_level():
 
 def test_parallel_map_via_env(monkeypatch):
     monkeypatch.setenv("VWBM_THREADS", "2")
-    assert check_rowspan_identities(6).passed
+    assert _result(6, "rowspan", "row-span t identities").passed
 
 
 def test_thread_cap_is_clamped(monkeypatch):
@@ -75,20 +78,21 @@ def test_thread_cap_is_clamped(monkeypatch):
 
 
 def test_check_result_lines():
-    ok = CheckResult("demo", True, stats={"pairs": 3})
+    ok = CheckResult("demo", True, "", {"pairs": 3})
     assert ok.line() == "PASS  demo (3 pairs)"
-    bad = CheckResult("demo", False, "witness (2,3)")
-    assert bad.line() == "FAIL  demo  [witness (2,3)]"
+    bad = CheckResult("demo", False, "witness (2,3)", {"pairs": 8})
+    assert bad.line() == "FAIL  demo (8 pairs)  [witness (2,3)]"
 
 
 def test_cli_verify_reports_failure(monkeypatch, capsys):
     def fake_suite(nmax, level):
-        return [CheckResult("stubbed check", False, "witness at (2,3)")]
+        return [CheckResult("stubbed check", False, "witness at (2,3)",
+                            {"pairs": 8})]
     monkeypatch.setattr("vwbm.cli.run_suite", fake_suite)
     code = main(["verify", "6"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "FAIL  stubbed check  [witness at (2,3)]" in out
+    assert "FAIL  stubbed check (8 pairs)  [witness at (2,3)]" in out
     assert out.strip().endswith("FAIL  overall (nmax=6)")
 
 
@@ -191,7 +195,7 @@ def test_genus_level_builds_no_row_span_or_orbits(monkeypatch):
     monkeypatch.setattr(verify, "row_span", forbidden)
     monkeypatch.setattr(verify, "klein_orbits", forbidden)
     assert all(r.passed for r in run_suite(12, "genus"))
-    assert not check_klein_orbits(4).passed
+    assert not _result(4, "rowspan", "Klein orbit selection").passed
 
 
 def test_genus_check_fails_when_free_elements_do_not_split_into_fours(
@@ -285,7 +289,8 @@ def _never_fails(ctx):
 
 def test_sweep_keeps_each_checks_first_counterexample():
     odd, square = Check("odd", _fails_on_odd_sum), Check("square", _fails_on_square)
-    assert odd(4) == CheckResult("odd", False, "odd sum at (2, 3)", {"pairs": 8})
+    assert _sweep((odd,), 4) == [
+        CheckResult("odd", False, "odd sum at (2, 3)", {"pairs": 8})]
     results = _sweep((square, odd, Check("none", _never_fails)), 4)
     assert [(r.name, r.passed, r.detail) for r in results] == [
         ("square", False, "square at (3, 3)"),
@@ -325,7 +330,7 @@ def test_selection_checks_pin_the_chosen_orbit_member(monkeypatch):
         return tuple(s._replace(k=-s.k) for s in rowspan.summands(params))
 
     monkeypatch.setattr(verify, "summands", sigma2_images)
-    spectrum = check_spectrum_laws(8)
+    spectrum = _result(8, "spectrum", "spectrum laws and tiling correspondence")
     assert not spectrum.passed
     assert spectrum.detail.startswith("(2,3): mu, nu, lambda do not match")
 
