@@ -218,16 +218,12 @@ def cmd_info(args) -> int:
 
 
 def cmd_table(args) -> int:
-    pairs = [CurveParams(n, m)
-             for n, m in valid_pairs(max(args.nmax, args.mmax))
-             if n <= args.nmax and m <= args.mmax]
-
     def payload():
         # one pair at a time, written before the next pair's rows are built
-        for params in pairs:
-            rows = [_summand_dict(s) for s in reversed(summands(params))]
-            yield {"params": [params.n, params.m], "genus": len(rows),
-                   "rows": rows}
+        for n, m in valid_pairs(args.nmax, args.mmax):
+            rows = [_summand_dict(s)
+                    for s in reversed(summands(CurveParams(n, m)))]
+            yield {"params": [n, m], "genus": len(rows), "rows": rows}
 
     return _emit(args, payload, SUMMAND_HEADER,
                  lambda: ((*t["params"], *row.values()) for t in payload()
@@ -324,27 +320,23 @@ def cmd_surface(args) -> int:
     order = surface.order
     genus, classes = surface_genus(surface), lift_class_count(surface)
 
+    def lift_fields(lift) -> dict:
+        cylinders = "horizontal" if lift.kind == "sigma2" else "vertical"
+        return {"involution": lift.is_involution(),
+                "fixed_edges": fixed_edges(surface, lift),
+                f"{cylinders}_cylinders_preserved":
+                    cylinder_preservation_check(surface, lift) is None}
+
     def payload():  # the lift fields, which only json prints
-        lift2 = lift_sigma2(surface)
-        lifts4 = [lift_sigma4(surface, v) for v in sigma4_variants(params)]
         return {
             "params": _params_dict(params),
             "column_span_order": order,
             "square_count": 2 * order,
             "surface_genus": genus,
-            "sigma2": {
-                "involution": lift2.is_involution(),
-                "fixed_edges": fixed_edges(surface, lift2),
-                "horizontal_cylinders_preserved":
-                    cylinder_preservation_check(surface, lift2) is None,
-            },
-            "sigma4_variants": [{
-                "variant": lift4.variant,
-                "involution": lift4.is_involution(),
-                "fixed_edges": fixed_edges(surface, lift4),
-                "vertical_cylinders_preserved":
-                    cylinder_preservation_check(surface, lift4) is None,
-            } for lift4 in lifts4],
+            "sigma2": lift_fields(lift_sigma2(surface)),
+            "sigma4_variants": [
+                {"variant": v, **lift_fields(lift_sigma4(surface, v))}
+                for v in sigma4_variants(params)],
             "lift_classes": classes,
         }
 

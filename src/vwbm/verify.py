@@ -40,8 +40,11 @@ class CheckResult(namedtuple("CheckResult", "name passed detail stats")):
         return f"{status}  {self.name} ({self.stats['pairs']} pairs){extra}"
 
 
-def valid_pairs(nmax: int) -> list[tuple[int, int]]:
-    return [(n, m) for n in range(2, nmax + 1) for m in range(2, nmax + 1)
+def valid_pairs(nmax: int, mmax: int | None = None) -> list[tuple[int, int]]:
+    """The (n, m) with n <= nmax, m <= mmax (default nmax) and nm >= 6,
+    n ascending, then m."""
+    mmax = nmax if mmax is None else mmax
+    return [(n, m) for n in range(2, nmax + 1) for m in range(2, mmax + 1)
             if n * m >= 6]
 
 
@@ -85,21 +88,14 @@ class PairContext:
         return build_surface(self.params)
 
 
-class Check(namedtuple("Check", "name worker")):
-    """A named check and its worker, which reads a pair's context and
-    returns a counterexample or None; ``run_suite`` sweeps the checks."""
-
-    __slots__ = ()
-
-
 def _pair_outcomes(checks, pair) -> tuple[str | None, ...]:
     """Each check's counterexample at the pair, all read from one context;
     a check that raises fails there, and the other checks still run."""
     ctx = PairContext(pair)
     outcomes = []
-    for check in checks:
+    for _, worker in checks:
         try:
-            outcomes.append(check.worker(ctx))
+            outcomes.append(worker(ctx))
         except (ArithmeticError, AssertionError, ValueError) as exc:
             outcomes.append(
                 f"({pair[0]},{pair[1]}): {type(exc).__name__}: {exc}")
@@ -113,8 +109,8 @@ def _sweep(checks, nmax: int) -> list[CheckResult]:
     first = [None] * len(checks)
     for outcomes in _map_pairs(partial(_pair_outcomes, checks), pairs):
         first = [f if f is not None else o for f, o in zip(first, outcomes)]
-    return [CheckResult(check.name, f is None, f or "", {"pairs": len(pairs)})
-            for check, f in zip(checks, first)]
+    return [CheckResult(name, f is None, f or "", {"pairs": len(pairs)})
+            for (name, _), f in zip(checks, first)]
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +139,6 @@ def _rowspan_pair(ctx: PairContext) -> str | None:
     return None
 
 
-check_rowspan_identities = Check("row-span t identities", _rowspan_pair)
-
-
 def _klein_pair(ctx: PairContext) -> str | None:
     n, m = ctx.pair
     # the nonzero pieces: Klein orbits of the zero-free row span elements
@@ -158,9 +151,6 @@ def _klein_pair(ctx: PairContext) -> str | None:
         return f"({n},{m}): summands differ from the t-value selection"
     # a zero-free sigma3-fixed (a, b, -a, -b) is all-nm, as 2a = 2b = 0 mod N
     return None
-
-
-check_klein_orbits = Check("Klein orbit selection", _klein_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +179,6 @@ def _genus_pair(ctx: PairContext) -> str | None:
     return None
 
 
-check_genus_agreement = Check("genus triple agreement", _genus_pair)
-
-
 # ---------------------------------------------------------------------------
 # trace fields
 # ---------------------------------------------------------------------------
@@ -217,9 +204,6 @@ def _trace_pair(ctx: PairContext) -> str | None:
     return None
 
 
-check_trace_fields = Check("trace degrees formula vs oracle", _trace_pair)
-
-
 def _primitivity_pair(ctx: PairContext) -> str | None:
     n, m = ctx.pair
     verdict = inv.algebraically_primitive(ctx.params)
@@ -230,10 +214,6 @@ def _primitivity_pair(ctx: PairContext) -> str | None:
         return (f"({n},{m}): criterion={verdict.primitive} "
                 f"deg E = genus is {by_degree}")
     return None
-
-
-check_primitivity = Check(
-    "algebraic primitivity criterion vs degrees", _primitivity_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +245,6 @@ def _covers_pair(ctx: PairContext) -> str | None:
     return None
 
 
-check_covers = Check("covering criterion vs containment oracle", _covers_pair)
-
-
 # ---------------------------------------------------------------------------
 # square-tiled lifts
 # ---------------------------------------------------------------------------
@@ -281,32 +258,22 @@ def _lift_pair(ctx: PairContext) -> str | None:
     # two involutive lifts commute, so once both are involutions nothing
     # is left to check there: L2 L4 keeps colors and has linear part -I, so
     # it is an involution too, and L4 L2 = (L2 L4)^-1 = L2 L4
-    if not lift2.is_involution():
-        return f"({n},{m}): sigma2 lift is not an involution"
-    if not fixed_edges(surface, lift2):
-        return f"({n},{m}): sigma2 lift has no fixed edge"
-    horiz = cylinder_preservation_check(surface, lift2)
-    if horiz is not None:
-        return f"({n},{m}): sigma2 {horiz}"
-    for lift4 in variants:
-        tag = f"sigma4 variant {lift4.variant}"
-        if not lift4.is_involution():
-            return f"({n},{m}): {tag} is not an involution"
-        if not fixed_edges(surface, lift4):
-            return f"({n},{m}): {tag} has no fixed edge"
-        rel = intertwine_check(surface, lift2, lift4)
-        if rel is not None:
-            return f"({n},{m}): {tag} {rel}"
-        vert = cylinder_preservation_check(surface, lift4)
-        if vert is not None:
-            return f"({n},{m}): {tag} {vert}"
+    for lift in (lift2, *variants):
+        tag = f"sigma4 variant {lift.variant}" if lift.variant else "sigma2"
+        noun = tag if lift.variant else "sigma2 lift"
+        if not lift.is_involution():
+            return f"({n},{m}): {noun} is not an involution"
+        if not fixed_edges(surface, lift):
+            return f"({n},{m}): {noun} has no fixed edge"
+        # the conjugation relations first, for sigma4 only, then the cylinders
+        broken = ((lift.variant and intertwine_check(surface, lift2, lift))
+                  or cylinder_preservation_check(surface, lift))
+        if broken is not None:
+            return f"({n},{m}): {tag} {broken}"
     got = lift_class_count(surface)
     if got != len(variants):
         return f"({n},{m}): {got} lift classes, expected {len(variants)}"
     return None
-
-
-check_lifts = Check("pillowcase symmetry lift suite", _lift_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +340,6 @@ def _generator_pair(ctx: PairContext) -> str | None:
     return None
 
 
-check_generators = Check(
-    "generator equations exact vs numeric", _generator_pair)
-
-
 # ---------------------------------------------------------------------------
 # spectrum laws and swap symmetry
 # ---------------------------------------------------------------------------
@@ -423,10 +386,6 @@ def _spectrum_pair(ctx: PairContext) -> str | None:
     return None
 
 
-check_spectrum_laws = Check(
-    "spectrum laws and tiling correspondence", _spectrum_pair)
-
-
 def _swap_pair(ctx: PairContext) -> str | None:
     n, m = ctx.pair
     if n > m:
@@ -455,9 +414,6 @@ def _swap_pair(ctx: PairContext) -> str | None:
     return None
 
 
-check_swap_symmetry = Check("invariants agree under (n, m) swap", _swap_pair)
-
-
 # ---------------------------------------------------------------------------
 # suite driver
 # ---------------------------------------------------------------------------
@@ -469,14 +425,19 @@ check_swap_symmetry = Check("invariants agree under (n, m) swap", _swap_pair)
 # 1); a looser tolerance would not bound the deviation at a root.
 VERIFY_NMAX_MAX = 33
 
-LEVELS: dict[str, tuple[Check, ...]] = {
-    "rowspan": (check_rowspan_identities, check_klein_orbits),
-    "genus": (check_genus_agreement,),
-    "trace": (check_trace_fields, check_primitivity),
-    "covers": (check_covers,),
-    "lifts": (check_lifts,),
-    "generators": (check_generators,),
-    "spectrum": (check_spectrum_laws, check_swap_symmetry),
+# each level's checks as (name, worker) rows: the worker reads a pair's
+# context and returns a counterexample or None; ``run_suite`` sweeps them
+LEVELS = {
+    "rowspan": (("row-span t identities", _rowspan_pair),
+                ("Klein orbit selection", _klein_pair)),
+    "genus": (("genus triple agreement", _genus_pair),),
+    "trace": (("trace degrees formula vs oracle", _trace_pair),
+              ("algebraic primitivity criterion vs degrees", _primitivity_pair)),
+    "covers": (("covering criterion vs containment oracle", _covers_pair),),
+    "lifts": (("pillowcase symmetry lift suite", _lift_pair),),
+    "generators": (("generator equations exact vs numeric", _generator_pair),),
+    "spectrum": (("spectrum laws and tiling correspondence", _spectrum_pair),
+                 ("invariants agree under (n, m) swap", _swap_pair)),
 }
 
 

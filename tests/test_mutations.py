@@ -8,8 +8,11 @@ no-op passes under its mutation, and this test fails.
 
 A helper that both sides of a check call could carry a defect that neither
 side sees, so a second table plants defects in shared helpers, at the
-definition and in every module that binds the name.
+definition and in every module that binds the name.  A third does the same
+for the lifts check, one defect per failure text that no other test reaches.
 """
+import __future__
+import inspect
 import json
 
 import pytest
@@ -233,10 +236,97 @@ def test_check_fails_on_a_shared_helper_mutation(
     assert failed.get(name) == detail
 
 
+def _source_mutant(module, name, old, new):
+    # the function recompiled from its own source with one edit, in its
+    # module's namespace
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec",
+                 __future__.annotations.compiler_flag, dont_inherit=True),
+         namespace)
+    return namespace[name]
+
+
+def _moved_for(kind):
+    # the defect: the helper's value moved by (1, 0) for lifts of one kind
+    def defect(sound):
+        def moved(surf, lift):
+            value = sound(surf, lift)
+            return surf.add(value, (1, 0)) if lift.kind == kind else value
+        return moved
+    return defect
+
+
+def _displacement_moved_for(kind):
+    def defect(sound):
+        def moved(lift, c):
+            value = sound(lift, c)
+            return (lift.surface.add(value, (1, 0)) if lift.kind == kind
+                    else value)
+        return moved
+    return defect
+
+
+def _sigma2_black_shift_moved_by_column_1(sound):
+    def moved(surf):
+        lift = sound(surf)
+        s_w, s_b = lift.shifts
+        return lift._replace(shifts=(s_w, surf.add(s_b, surf.columns[0])))
+    return moved
+
+
+# test id: (where the defect is planted, the name there, the defect as a
+# function of the sound attribute, the lifts check's failure detail); one
+# row per failure text of the lifts check that no other test reaches
+LIFT_MUTATIONS = {
+    "sigma2_involution": (
+        surface, "lift_sigma2", _sigma2_black_shift_moved_by_column_1,
+        "(2,3): sigma2 lift is not an involution"),
+    "sigma2_fixed_edge": (
+        surface, "_edge_target", _moved_for("sigma2"),
+        "(2,3): sigma2 lift has no fixed edge"),
+    "sigma4_fixed_edge": (
+        surface, "_edge_target", _moved_for("sigma4"),
+        "(2,3): sigma4 variant 1 has no fixed edge"),
+    "sigma2_cylinder": (
+        surface.SymmetryLift, "displacement", _displacement_moved_for("sigma2"),
+        "(2,3): sigma2 cylinder broken at Square(label=(0, 0), color='w')"),
+    "sigma4_cylinder": (
+        surface.SymmetryLift, "displacement", _displacement_moved_for("sigma4"),
+        "(2,3): sigma4 variant 1 cylinder broken at "
+        "Square(label=(0, 0), color='w')"),
+    "sigma4_relation": (
+        surface, "intertwine_check",
+        lambda sound: _source_mutant(surface, "intertwine_check",
+                                     "(lift4, 2, 3)", "(lift4, 2, 4)"),
+        "(2,3): sigma4 variant 1 sigma4 T2 sigma4 != T4 at "
+        "Square(label=(0, 0), color='w')"),
+}
+
+
+@pytest.mark.parametrize("owner, name, defect, detail",
+                         list(LIFT_MUTATIONS.values()),
+                         ids=list(LIFT_MUTATIONS))
+def test_lifts_check_fails_on_each_lift_defect(
+        monkeypatch, owner, name, defect, detail):
+    # planted where the name is defined and in every module that binds it
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    assert all(r.passed for r in run_suite(12, "lifts"))
+    sound = getattr(owner, name)
+    mutant = defect(sound)
+    monkeypatch.setattr(owner, name, mutant)
+    for module in PACKAGE:
+        if vars(module).get(name) is sound:
+            monkeypatch.setattr(module, name, mutant)
+    failed = {r.name: r.detail for r in run_suite(12, "lifts") if not r.passed}
+    assert failed == {"pillowcase symmetry lift suite": detail}
+
+
 def test_every_check_has_a_mutation():
     # a new check without a row in MUTATIONS fails here
-    names = [check.name for checks in verify.LEVELS.values()
-             for check in checks]
+    names = [name for checks in verify.LEVELS.values()
+             for name, _ in checks]
     assert sorted(name for _, _, name, _ in MUTATIONS.values()) == sorted(names)
 
 

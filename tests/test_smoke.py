@@ -83,6 +83,17 @@ def test_cli_import_loads_every_layer_and_no_dataclasses():
                                    + ["False"] * len(absent))
 
 
+def test_src_holds_no_bare_assert():
+    # -O strips every assert statement, so a check written as one would
+    # vanish there; the package states each check as an explicit test
+    import ast
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "vwbm").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_verify_passes_under_optimized_mode():
     proc = run_optimized("-m", "vwbm.cli", "verify", "4")
     assert proc.returncode == 0, proc.stderr

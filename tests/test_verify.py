@@ -6,7 +6,7 @@ from vwbm.cli import main
 from vwbm.exact import IntPolynomial
 from vwbm.generators import generator_equation
 from vwbm.rowspan import CurveParams, klein_orbits, row_span
-from vwbm.verify import (VERIFY_NMAX_MAX, Check, CheckResult,
+from vwbm.verify import (VERIFY_NMAX_MAX, CheckResult,
                          _cosine_root_identity, _sweep, _thread_cap,
                          run_suite, valid_pairs)
 
@@ -288,10 +288,10 @@ def _never_fails(ctx):
 
 
 def test_sweep_keeps_each_checks_first_counterexample():
-    odd, square = Check("odd", _fails_on_odd_sum), Check("square", _fails_on_square)
+    odd, square = ("odd", _fails_on_odd_sum), ("square", _fails_on_square)
     assert _sweep((odd,), 4) == [
         CheckResult("odd", False, "odd sum at (2, 3)", {"pairs": 8})]
-    results = _sweep((square, odd, Check("none", _never_fails)), 4)
+    results = _sweep((square, odd, ("none", _never_fails)), 4)
     assert [(r.name, r.passed, r.detail) for r in results] == [
         ("square", False, "square at (3, 3)"),
         ("odd", False, "odd sum at (2, 3)"),
