@@ -168,8 +168,10 @@ def _divisors(K: int) -> list[int]:
     return sorted(out)
 
 
-def _factorize(K: int) -> list[tuple[int, int]]:
-    """Prime factorization of K >= 1 as (p, e) pairs, by trial division."""
+@lru_cache(maxsize=1024)
+def _factorize(K: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of K >= 1 as a tuple of (p, e), p ascending, by
+    trial division; memoized for 1024 K (a verify 33 sweep factors 928)."""
     out, p = [], 2
     while p * p <= K:
         if K % p == 0:
@@ -181,11 +183,11 @@ def _factorize(K: int) -> list[tuple[int, int]]:
         p += 1 if p == 2 else 2
     if K > 1:
         out.append((K, 1))
-    return out
+    return tuple(out)
 
 
 def _is_prime(k: int) -> bool:
-    return k >= 2 and _factorize(k) == [(k, 1)]
+    return k >= 2 and _factorize(k)[0] == (k, 1)
 
 
 def euler_phi(K: int) -> int:

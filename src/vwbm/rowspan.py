@@ -83,22 +83,24 @@ def _matrix_rows(n: int, m: int) -> tuple[Vector, Vector]:
     return row1, row2
 
 
-def span_closure(gens, modulus: int) -> tuple[tuple[int, ...], ...]:
-    """The subgroup of (Z/modulus)^k generated by the given k-tuples, sorted.
+def span_closure(gens, modulus: int) -> frozenset[tuple[int, ...]]:
+    """The subgroup of (Z/modulus)^k generated by the given k-tuples, as a
+    frozenset of k-tuples in [0, modulus)^k.
 
     Built one generator g at a time: for the least divisor c of the order of
-    g with c g in the span H so far, the span grows to H + {0, g, ..,
-    (c - 1) g}, formed coordinate by coordinate.  The cosets H + i g,
-    0 <= i < c, are disjoint, so no element repeats, and r generators span at
-    most modulus^min(r, k) elements; no bound is checked.
+    g with c g in the span H so far (the order itself while H = {0}), the
+    span grows to H + {0, g, .., (c - 1) g}, formed coordinate by coordinate.
+    The cosets H + i g, 0 <= i < c, are disjoint, so no element repeats, and
+    r generators span at most modulus^min(r, k) elements; no bound is checked.
     """
     gens = [tuple(v % modulus for v in g) for g in gens]
     span = [(0,) * len(gens[0])]
     for g in gens:
-        members = set(span)
-        order = lcm(*(modulus // gcd(v, modulus) for v in g))
-        index = next(c for c in range(1, order + 1) if order % c == 0
-                     and tuple(c * v % modulus for v in g) in members)
+        index = lcm(*(modulus // gcd(v, modulus) for v in g))
+        if len(span) > 1:
+            members = set(span)
+            index = next(c for c in range(1, index + 1) if index % c == 0
+                         and tuple(c * v % modulus for v in g) in members)
         multiples = list(zip(*[[c * v % modulus for c in range(index)]
                                for v in g]))
         shifts, span = sorted((span, multiples), key=len)
@@ -107,7 +109,7 @@ def span_closure(gens, modulus: int) -> tuple[tuple[int, ...], ...]:
             span = [e for shift in shifts for e in zip(*[
                 [(x + t) % modulus for x in column]
                 for column, t in zip(columns, shift)])]
-    return tuple(sorted(span))
+    return frozenset(span)
 
 
 @lru_cache(maxsize=64)
@@ -157,26 +159,21 @@ def row_span(params: CurveParams) -> tuple[Vector, ...]:
     """The subgroup of (Z/NZ)^4 generated by the two defining rows, as
     canonical integer 4-tuples (a, b, -a, -b), (a, b) in G, in lex order."""
     N = params.N
-    return tuple((a, b, -a % N, -b % N)
-                 for a, b in _span_entries(params.n, params.m))
-
-
-def klein_orbit(r: Vector) -> frozenset[Vector]:
-    # the images under the coordinate permutations id, sigma2 = (12)(34),
-    # sigma3 = (13)(24) and sigma4 = (14)(23)
-    a, b, c, d = r
-    return frozenset(((a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a)))
+    return tuple([(a, b, -a % N, -b % N)
+                  for a, b in _span_entries(params.n, params.m)])
 
 
 def klein_orbits(span: tuple[Vector, ...]) -> list[frozenset[Vector]]:
-    """The Klein orbits of the nonzero elements of a row span."""
+    """The Klein orbits of the nonzero elements of a row span under the swaps
+    sigma2 = (12)(34), sigma3 = (13)(24) and sigma4 = (14)(23)."""
     seen: set[Vector] = set()
     orbits = []
     for r in span:
-        if not any(r) or r in seen:
+        if r in seen or not any(r):
             continue
-        orbit = klein_orbit(r)
-        seen.update(orbit)
+        a, b, c, d = r
+        orbit = frozenset((r, (b, a, d, c), (c, d, a, b), (d, c, b, a)))
+        seen |= orbit
         orbits.append(orbit)
     return orbits
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import os
 from collections import namedtuple
 from functools import cached_property, partial
+from operator import lt
 
 from . import generators as gens
 from . import invariants as inv
@@ -120,11 +121,12 @@ def _sweep(checks, nmax: int) -> list[CheckResult]:
 def _rowspan_pair(ctx: PairContext) -> str | None:
     n, m = ctx.pair
     N = ctx.params.N
-    # row_span is {(x, -x) : x in G}; the oracle checks each row's form
-    # (x, -x) and closes the x in (Z/NZ)^2, independently of G's closed form
+    # row_span is {(x, -x) : x in G}; the oracle checks each row's form and
+    # that G's listing is the closure of the x in (Z/NZ)^2, strictly increasing
     deck, rows = rowspan._span_entries(n, m), _matrix_rows(n, m)
     if (any((v + w) % N for row in rows for v, w in zip(row, row[2:]))
-            or span_closure([row[:2] for row in rows], N) != deck):
+            or span_closure([row[:2] for row in rows], N) != frozenset(deck)
+            or not all(map(lt, deck, deck[1:]))):
         return f"({n},{m}): row span differs from the closure of the rows"
     # stated members of the span: always (2m,2m,-2m,-2m), (2n,-2n,-2n,2n)
     # and (-n-m, n-m, n+m, -n+m); also the halved pair when n or m is odd
@@ -141,13 +143,12 @@ def _rowspan_pair(ctx: PairContext) -> str | None:
 
 def _klein_pair(ctx: PairContext) -> str | None:
     n, m = ctx.pair
-    # the nonzero pieces: Klein orbits of the zero-free row span elements
-    pieces = [orbit for orbit in klein_orbits(row_span(ctx.params))
-              if 0 not in next(iter(orbit))]
+    # the nonzero pieces are the Klein orbits of zero-free span elements, and
     # t_1 > max(t_2, t_3, t_4) picks the member of a free orbit that leads
     # with its strict maximum entry: the orbit's lex maximum, one per orbit
-    selected = sorted(max(orbit) for orbit in pieces if len(orbit) == 4)
-    if sorted(s.vector for s in ctx.summands) != selected:
+    selected = sorted([max(o) for o in klein_orbits(row_span(ctx.params))
+                       if len(o) == 4 and 0 not in next(iter(o))])
+    if sorted([s.vector for s in ctx.summands]) != selected:
         return f"({n},{m}): summands differ from the t-value selection"
     # a zero-free sigma3-fixed (a, b, -a, -b) is all-nm, as 2a = 2b = 0 mod N
     return None

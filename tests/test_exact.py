@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from vwbm import exact, invariants, verify
 from vwbm.exact import (IntPolynomial, X, _factorize, _fp_root_powers,
-                        _root_sum_vector, chebyshev_c, cyclotomic_poly,
-                        euler_phi, subfield_degree, units_mod)
+                        _is_prime, _root_sum_vector, chebyshev_c,
+                        cyclotomic_poly, euler_phi, subfield_degree,
+                        units_mod)
 from vwbm.rowspan import CurveParams
 
 
@@ -418,6 +419,32 @@ def test_units_mod_matches_gcd_scan():
     for K in range(1, 1201):
         assert units_mod(K) == [a for a in range(1, K + 1)
                                 if math.gcd(a, K) == 1], K
+
+
+def _prime_by_division(k):
+    return k >= 2 and all(k % d for d in range(2, math.isqrt(k) + 1))
+
+
+def test_factorize_and_is_prime_match_trial_division():
+    for K in range(1, 2001):
+        pairs = _factorize(K)
+        primes = [p for p, _ in pairs]
+        assert isinstance(pairs, tuple), K
+        assert math.prod(p ** e for p, e in pairs) == K
+        assert primes == sorted(set(primes)), K
+        assert all(e > 0 and _prime_by_division(p) for p, e in pairs), K
+        assert _is_prime(K) == _prime_by_division(K), K
+
+
+def test_factorize_memo_holds_a_sweep(monkeypatch):
+    # the bounded memo keeps every integer a sweep factors, so each is
+    # factored once
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    exact._factorize.cache_clear()
+    assert all(check.passed for check in verify.run_suite(16, "all"))
+    info = exact._factorize.cache_info()
+    assert info.maxsize is not None
+    assert 0 < info.misses == info.currsize < info.maxsize
 
 
 def test_fp_root_table():

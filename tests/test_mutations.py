@@ -198,6 +198,30 @@ SHARED_HELPER_MUTATIONS = {
         rowspan, "_span_entries", lambda sound: lambda n, m: sound(n, m)[:-1],
         "rowspan", "row-span t identities",
         "(2,3): row span differs from the closure of the rows"),
+    # G as a set, out of lex order
+    "_span_entries_reversed": (
+        rowspan, "_span_entries", lambda sound: lambda n, m: sound(n, m)[::-1],
+        "rowspan", "row-span t identities",
+        "(2,3): row span differs from the closure of the rows"),
+    # G as a set, with 0 listed twice
+    "_span_entries_repeated": (
+        rowspan, "_span_entries",
+        lambda sound: lambda n, m: sound(n, m)[:1] + sound(n, m),
+        "rowspan", "row-span t identities",
+        "(2,3): row span differs from the closure of the rows"),
+    # (N - 1, N - 1) is outside G and after every element of G in lex order,
+    # so the listing stays strictly increasing: appended, and in place of
+    # the last element, where the length does not change either
+    "_span_entries_outside_G": (
+        rowspan, "_span_entries",
+        lambda sound: lambda n, m: sound(n, m) + ((2 * n * m - 1,) * 2,),
+        "rowspan", "row-span t identities",
+        "(2,3): row span differs from the closure of the rows"),
+    "_span_entries_last_outside_G": (
+        rowspan, "_span_entries",
+        lambda sound: lambda n, m: sound(n, m)[:-1] + ((2 * n * m - 1,) * 2,),
+        "rowspan", "row-span t identities",
+        "(2,3): row span differs from the closure of the rows"),
     "euler_phi": (
         exact, "euler_phi",
         lambda sound: lambda K: sound(K) * (2 if K % 8 == 0 else 1),

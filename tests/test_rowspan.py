@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vwbm.rowspan import (CurveParams, Summand, _matrix_rows, _span_entries,
-                          deck_group_order, in_deck_group, klein_orbit,
+                          deck_group_order, in_deck_group, klein_orbits,
                           row_span, span_closure, summands)
 from vwbm.verify import valid_pairs
 
@@ -92,10 +92,12 @@ def test_row_span_always_contains_stated_vectors():
 
 
 def test_span_closure_any_tuple_length():
-    assert span_closure([(4,), (6,)], 10) == ((0,), (2,), (4,), (6,), (8,))
-    assert span_closure([(1, 2)], 6) == (
-        (0, 0), (1, 2), (2, 4), (3, 0), (4, 2), (5, 4))
-    assert span_closure(_matrix_rows(2, 7), 28) == row_span(CurveParams(2, 7))
+    assert span_closure([(4,), (6,)], 10) == {(0,), (2,), (4,), (6,), (8,)}
+    assert span_closure([(1, 2)], 6) == {
+        (0, 0), (1, 2), (2, 4), (3, 0), (4, 2), (5, 4)}
+    closure = span_closure(_matrix_rows(2, 7), 28)
+    assert isinstance(closure, frozenset)
+    assert sorted(closure) == list(row_span(CurveParams(2, 7)))
 
 
 def _breadth_first_closure(gens, modulus):
@@ -117,7 +119,7 @@ def _breadth_first_closure(gens, modulus):
         frontier = nxt
         if len(seen) > cap:
             raise AssertionError("span closure exceeded its bound")
-    return tuple(sorted(seen))
+    return frozenset(seen)
 
 
 @st.composite
@@ -145,9 +147,10 @@ def test_span_closure_matches_breadth_first_closure(case):
 @pytest.mark.parametrize("n,m", valid_pairs(16))
 def test_row_span_equals_closure_of_the_rows(n, m):
     # row_span is read off the deck group G in (Z/N)^2; the oracle closes
-    # the two rows in (Z/N)^4
+    # the two rows in (Z/N)^4, and the listing is that set in lex order
     params = CurveParams(n, m)
-    assert row_span(params) == span_closure(_matrix_rows(n, m), params.N)
+    closure = span_closure(_matrix_rows(n, m), params.N)
+    assert list(row_span(params)) == sorted(closure)
 
 
 def _sorted_deck_group(n, m):
@@ -196,7 +199,7 @@ _KLEIN_PERMS = {
 
 def klein_action(r, element):
     """The Klein four-group element acting by coordinate permutation: the
-    table that ``klein_orbit`` is checked against."""
+    table that ``klein_orbits`` is checked against."""
     try:
         perm = _KLEIN_PERMS[element]
     except KeyError:
@@ -219,26 +222,38 @@ def _orbit_by_table(r):
     return frozenset(klein_action(r, e) for e in KLEIN_ELEMENTS)
 
 
+def _orbits_of_one(r):
+    """The table's orbits of the one-element span (r,): none for r = 0."""
+    return [_orbit_by_table(r)] if any(r) else []
+
+
 def test_klein_orbit_is_the_action_table_orbit_on_every_span():
     for n, m in valid_pairs(16):
-        for r in row_span(CurveParams(n, m)):
-            assert klein_orbit(r) == _orbit_by_table(r)
+        span = row_span(CurveParams(n, m))
+        for r in span:
+            assert klein_orbits((r,)) == _orbits_of_one(r)
+        # on the whole span: the table's orbits, disjoint, covering every
+        # nonzero element
+        orbits = klein_orbits(span)
+        assert all(orbit == _orbit_by_table(r)
+                   for orbit in orbits for r in orbit)
+        assert sum(map(len, orbits)) == len(set().union(*orbits)) == (
+            len(span) - 1)
 
 
 @given(st.tuples(*[st.integers(-3, 3)] * 4))
 @example((1, 1, 1, 1))
 @example((1, 2, 1, 2))
+@example((0, 0, 0, 0))
 def test_klein_orbit_is_the_action_table_orbit(r):
-    assert klein_orbit(r) == _orbit_by_table(r)
+    assert klein_orbits((r,)) == _orbits_of_one(r)
 
 
 def test_klein_orbit_sizes():
-    # generic vector: orbit of size 4
-    assert len(klein_orbit((5, 9, 23, 19))) == 4
-    # sigma2-fixed vector: orbit of size 2
-    assert len(klein_orbit((7, 7, 21, 21))) == 2
-    # fully fixed vector
-    assert len(klein_orbit((14, 14, 14, 14))) == 1
+    # a generic vector, a sigma2-fixed one and a fully fixed one: orbits of
+    # sizes 4, 2 and 1
+    span = ((5, 9, 23, 19), (7, 7, 21, 21), (14, 14, 14, 14))
+    assert [len(orbit) for orbit in klein_orbits(span)] == [4, 2, 1]
 
 
 # ---------------------------------------------------------------------------
