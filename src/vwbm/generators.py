@@ -69,7 +69,9 @@ def u_minus_2_power(k: int) -> IntPolynomial:
 
 def cosine_factor(m: int) -> IntPolynomial:
     """Q, the square-free cosine product of the generator equations, monic
-    of degree m/2 for even m and (m - 1)/2 for odd m."""
+    of degree m/2 for even m and (m - 1)/2 for odd m.  Not memoized, so the
+    second equation ``info`` builds reads ``chebyshev_c``'s memo, which the
+    benchmark self-test needs."""
     if m % 2 == 0:
         return chebyshev_c(m // 2)
     d = (m - 1) // 2
@@ -136,14 +138,16 @@ def verify_equation_numeric(eq: GeneratorEquation,
     a, q, mult = eq.rhs_factored
     deg = a + mult * q.degree()
     count = 2 * deg + 1
+    coeffs = q.coeffs[::-1]
     worst = 0.0
     for i in range(count):
         u = -3.0 + 6.0 * i / (count - 1)
         k, den = u.as_integer_ratio()
         s = den.bit_length() - 1
         scaled = shift = 0
-        for c in reversed(q.coeffs):
-            scaled, shift = scaled * k + (c << shift), shift + s
+        for c in coeffs:
+            scaled = scaled * k + (c << shift)
+            shift += s
         scaled = (k - (2 << s)) ** a * scaled ** mult
         try:
             exact = scaled / (1 << s * deg)

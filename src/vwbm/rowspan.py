@@ -191,8 +191,12 @@ def summands(params: CurveParams) -> tuple[Summand, ...]:
     """
     n, m = params.n, params.m
     nm = n * m
-    both_even = n % 2 == 0 and m % 2 == 0
-    return tuple(Summand(n, m, k, j) for _, k, j in sorted(
-        (n * k + m * j, k, j) for k in range(1, m)
-        for j in range(1, (nm - n * k - 1) // m + 1)
-        if not both_even or (k - j) % 2 == 0))
+    # when n and m are both even, j steps over the parity of k
+    both_even = n % 2 == 0 == m % 2
+    step = 2 if both_even else 1
+    points = [(n * k + m * j, k, j) for k in range(1, m)
+              for j in range(2 - k % 2 if both_even else 1,
+                             (nm - n * k - 1) // m + 1, step)]
+    points.sort()
+    make = Summand._make
+    return tuple([make((n, m, k, j)) for _, k, j in points])

@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from vwbm import generators
 from vwbm.exact import IntPolynomial, chebyshev_c
 from vwbm.generators import (CASE_BOTH_EVEN, CASE_M_EVEN_N_ODD, CASE_M_ODD,
                              U_MINUS_2, _product_form_value, generator_equation,
                              u_minus_2_power, verify_equation_numeric)
 from vwbm.rowspan import CurveParams
-from vwbm.verify import PairContext, _generator_pair, run_suite, valid_pairs
+from vwbm.verify import (PairContext, _equation_laws, _generator_pair,
+                         run_suite, valid_pairs)
 
 
 def poly(*coeffs):
@@ -150,7 +152,6 @@ def _power_of_q_sample(rhs, u):
 def test_shifted_exact_samples_equal_the_power_of_q_reference(monkeypatch):
     # with the product form replaced by the reference, a sample whose
     # exact value differs as a float leaves a nonzero deviation
-    from vwbm import generators
     monkeypatch.setattr(generators, "_product_form_value",
                         lambda eq, params, u: _power_of_q_sample(eq.rhs, u))
     deviating = []
@@ -177,11 +178,53 @@ def test_numeric_verification_rejects_corruption():
 def test_power_cache_is_bounded_and_computes_each_power_once(monkeypatch):
     # the rhs, the multiply-out check and the even-m Chebyshev check share
     # (u - 2)^k; a sweep to 16 draws k = 1, ..., 16, each once
+    # once each; the equation memo is cleared too, since an equation it
+    # holds from an earlier test skips its checks' powers
     monkeypatch.setenv("VWBM_THREADS", "1")
     assert u_minus_2_power.cache_info().maxsize is not None
     u_minus_2_power.cache_clear()
+    _equation_laws.cache_clear()
     assert all(r.passed for r in run_suite(16, "generators"))
     assert u_minus_2_power.cache_info().misses == 16
+
+
+def test_generators_level_checks_each_distinct_equation_once(monkeypatch):
+    # for odd m the equation is y^(2n) = C_m - 2 at every n: at nmax 16 the
+    # 224 pairs hold 7 odd-m equations and 119 even-m ones, and at nmax 33
+    # the 1023 pairs hold 16 and 511, each checked once within the bound
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    calls = []
+    numeric = generators.verify_equation_numeric
+    monkeypatch.setattr(generators, "verify_equation_numeric",
+                        lambda eq, params: calls.append(1) or numeric(eq, params))
+    _equation_laws.cache_clear()
+    assert all(r.passed for r in run_suite(16, "generators"))
+    assert len(calls) == 126
+    _equation_laws.cache_clear()
+    assert all(r.passed for r in run_suite(33, "generators"))
+    info = _equation_laws.cache_info()
+    assert (info.misses, info.hits) == (527, 496)
+    assert info.maxsize is not None and info.maxsize < 527
+
+
+def test_equation_memo_checks_an_equation_changed_after_a_sweep(monkeypatch):
+    # a clean sweep fills the memo; an equation changed since, here only at
+    # n = 5 for odd m, is a new key, so its pair is checked again
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    assert all(r.passed for r in run_suite(12, "generators"))
+    generator_equation = generators.generator_equation
+
+    def bumped_at_5(params):
+        eq = generator_equation(params)
+        if params.n == 5 and params.m % 2:
+            eq = eq._replace(rhs=eq.rhs + poly(1))
+        return eq
+
+    monkeypatch.setattr(generators, "generator_equation", bumped_at_5)
+    failed = {r.name: r.detail
+              for r in run_suite(12, "generators") if not r.passed}
+    assert failed == {"generator equations exact vs numeric":
+                      "(5,3): stored factorization does not multiply out"}
 
 
 # ---------------------------------------------------------------------------

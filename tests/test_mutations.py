@@ -347,6 +347,82 @@ def test_lifts_check_fails_on_each_lift_defect(
     assert failed == {"pillowcase symmetry lift suite": detail}
 
 
+def _denominator_times_q_for_even_m(n_parity):
+    # D = (u - 2) Q^2 in place of (u - 2) Q, for even m and n of one parity
+    def defect(sound):
+        def times_q(params):
+            eq = sound(params)
+            if params.m % 2 == 0 and params.n % 2 == n_parity:
+                q = eq.rhs_factored[1]
+                eq = eq._replace(
+                    differential_denominator=eq.differential_denominator * q)
+            return eq
+        return times_q
+    return defect
+
+
+def _negated_cosine_factor(sound):
+    # (-1)^d Q(-u), whose roots are the negated cosine roots
+    def negated(m):
+        q = sound(m)
+        d = q.degree()
+        return IntPolynomial(tuple(c if (d - j) % 2 == 0 else -c
+                                   for j, c in enumerate(q.coeffs)))
+    return negated
+
+
+# test id: (each plant as (owner, name, the defect as a function of the
+# sound attribute), the generators check's failure detail); one row per
+# failure text of that check that no other test reaches.  At (2, 3), the
+# first pair, the equation reads C_1 and C_2 and the check also C_3
+GENERATOR_MUTATIONS = {
+    "degree": (
+        [(generators, "u_minus_2_power", lambda sound: lambda k: sound(k + 1))],
+        "(2,3): rhs degree 4 != 3"),
+    "one_form_m_even_n_odd": (
+        [(generators, "generator_equation", _denominator_times_q_for_even_m(1))],
+        "(3,2): one-form law D^2 | (u - 2) rhs fails"),
+    "one_form_both_even": (
+        [(generators, "generator_equation", _denominator_times_q_for_even_m(0))],
+        "(2,4): one-form law D^2 | ((u - 2) rhs)^2 fails"),
+    # the same wrong Q in the exact equation and in the float product form
+    "cosine_factor": (
+        [(generators, "cosine_factor", _negated_cosine_factor),
+         (generators, "_cosine_factors",
+          lambda sound: lambda m: tuple(-root for root in sound(m)))],
+        "(2,3): cosine factor is not prod (u - 2cos t)"),
+    "chebyshev_form": (
+        [(exact, "chebyshev_c",
+          lambda sound: lambda k: (sound(k) + IntPolynomial((1,)) if k == 3
+                                   else sound(k)))],
+        "(2,3): rhs differs from the paper's Chebyshev form"),
+}
+
+
+@pytest.mark.parametrize("plants, detail", list(GENERATOR_MUTATIONS.values()),
+                         ids=list(GENERATOR_MUTATIONS))
+def test_generators_check_fails_on_each_equation_defect(
+        monkeypatch, plants, detail):
+    # planted where the name is defined and in every module that binds it,
+    # with the package's memos cleared, the equation memo of verify among
+    # them, before and after
+    monkeypatch.setenv("VWBM_THREADS", "1")
+    assert all(r.passed for r in run_suite(12, "generators"))
+    for owner, name, defect in plants:
+        sound = getattr(owner, name)
+        mutant = defect(sound)
+        for module in PACKAGE:
+            if vars(module).get(name) is sound:
+                monkeypatch.setattr(module, name, mutant)
+    _clear_caches()
+    try:
+        failed = {r.name: r.detail
+                  for r in run_suite(12, "generators") if not r.passed}
+    finally:
+        _clear_caches()
+    assert failed == {"generator equations exact vs numeric": detail}
+
+
 def test_every_check_has_a_mutation():
     # a new check without a row in MUTATIONS fails here
     names = [name for checks in verify.LEVELS.values()
