@@ -14,10 +14,10 @@ Conventions used throughout the package:
   :func:`_root_sum_vector`, and Galois automorphisms act on such a sum by
   scaling its exponents.
 
-Phi_K is a Moebius product of binomials x^d - 1, root sums are reduced by
-long division over its nonzero coefficients, and Galois stabilizers are
-scanned through a ring map Z[zeta_K] -> F_p, each surviving unit then
-confirmed exactly.
+Phi_K is a Moebius product of binomials x^d - 1, a root sum is folded into
+one array by zeta_K^P = +-1 and reduced by a single long division over the
+nonzero coefficients of Phi_K, and Galois stabilizers are scanned through a
+ring map Z[zeta_K] -> F_p, each surviving unit then confirmed exactly.
 
 No floating point is used anywhere in this module.
 """
@@ -247,42 +247,41 @@ def _root_sum_vector(K: int, exponents: Iterable[int]) -> tuple[int, ...]:
     """Canonical coordinates of sum of zeta_K^e over the given exponents.
 
     zeta^P = s with (P, s) = (K/2, -1) for even K and (K, 1) for odd K, so
-    each exponent is first moved into [0, P).  Below phi(K) it is a basis
-    vector; otherwise zeta^e = s * zeta^(e - P) is reduced by long division
-    from the bottom over the nonzero coefficients of Phi_K, which has
-    constant term 1 for K > 1.
+    every exponent lands in one array of length P >= phi(K), with sign s
+    when it is moved down by P.  That array is then reduced modulo Phi_K by
+    a single long division from the top over the nonzero lower
+    coefficients of Phi_K, which is monic.
     """
     phi = cyclotomic_poly(K).coeffs
     d = len(phi) - 1
     P, s = (K // 2, -1) if K % 2 == 0 else (K, 1)
-    acc = [0] * d
-    support = [(i, c) for i, c in enumerate(phi) if c]
+    acc = [0] * P
     for e in exponents:
         e %= K
-        sign = s if e >= P else 1
-        e %= P
-        if e < d:
-            acc[e] += sign
-            continue
-        j = P - e                      # w[k] is the coefficient of x^(k - j)
-        w = [0] * (j + d)
-        w[0] = sign * s
-        for low in range(j):
-            c = w[low]
-            if c:
-                for i, v in support:
-                    w[low + i] -= c * v
-        for i in range(d):
-            acc[i] += w[j + i]
-    return tuple(acc)
+        if e < P:
+            acc[e] += 1
+        else:
+            acc[e - P] += s
+    low = [(i, c) for i, c in enumerate(phi[:d]) if c]
+    # x^top = -x^(top - d) (Phi_K - x^d) modulo Phi_K, for top >= d
+    for top in range(P - 1, d - 1, -1):
+        c = acc[top]
+        if c:
+            base = top - d
+            for i, v in low:
+                acc[base + i] -= c * v
+    return tuple(acc[:d])
 
 
-def units_mod(K: int) -> list[int]:
-    """The residues in [1, K] prime to K, sieved by the primes dividing K."""
+# A verify 16 --level trace sweep meets 95 moduli, verify 33 meets 370.
+@lru_cache(maxsize=128)
+def units_mod(K: int) -> tuple[int, ...]:
+    """The residues in [1, K] prime to K, sieved by the primes dividing K;
+    memoized for 128 K, as a tuple so that no caller can change the memo."""
     unit = [True] * (K + 1)
     for p, _ in _factorize(K):
         unit[p::p] = [False] * (K // p)
-    return [a for a in range(1, K + 1) if unit[a]]
+    return tuple([a for a in range(1, K + 1) if unit[a]])
 
 
 @lru_cache(maxsize=64)

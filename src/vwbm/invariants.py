@@ -17,6 +17,7 @@ the size of the pointwise Galois stabilizer of the generators.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 from .exact import (_divisors, _is_prime, _root_sum_vector, euler_phi,
                     subfield_degree)
@@ -103,11 +104,14 @@ def covers_criterion(big: CurveParams, small: CurveParams) -> bool:
     return True
 
 
+# A verify 16 sweep lists the covers of 224 pairs, verify 33 of 1023.
+@lru_cache(maxsize=256)
 def covers(params: CurveParams) -> tuple[CurveParams, ...]:
     """All T(n', m') covered by every point of T(n, m), sorted by (n', m').
 
     Each returned pair also passes the row-span containment certificate of
-    :func:`verify_cover`.
+    :func:`verify_cover`.  Memoized for 256 pairs, so the spectrum level
+    lists each pair's covers once for its spectrum and swap checks.
     """
     out = []
     for np_ in _divisors(params.n):

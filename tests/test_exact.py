@@ -256,6 +256,37 @@ def test_subfield_degree_matches_filter_free_scan(K):
         assert subfield_degree(K, gens) == euler_phi(K) // len(fixing), gens
 
 
+def test_root_sum_vector_matches_remainder_by_phi(monkeypatch):
+    # seeded sums up to K = 2178, the largest N of a verify 33 sweep, each
+    # compared with the remainder of its polynomial by Phi_K: K = 1 and 2,
+    # odd K, the four-term Hecke sums, exponents at or past K/2, negative
+    # and repeated, and the empty sum
+    rng = random.Random(2178)
+    sums = []
+    monkeypatch.setattr(invariants, "_root_sum_vector",
+                        lambda K, e: sums.append((K, tuple(e))) or ())
+    pairs = [(33, 33), (2, 3), (3, 3), (32, 33)]
+    pairs += [(rng.randint(2, 33), rng.randint(3, 33)) for _ in range(6)]
+    for n, m in pairs:
+        invariants.hecke_scalars(CurveParams(n, m))
+    assert len(sums) == 3 * len(pairs) and sums[0][0] == 2178
+    moduli = [1, 2, 3, 4, 2178]
+    moduli += [rng.randrange(3, 2179, 2) for _ in range(4)]
+    moduli += [rng.randint(3, 2178) for _ in range(6)]
+    for K in moduli:
+        sums.append((K, ()))
+        for _ in range(3):
+            g = [rng.randint(-3 * K, 3 * K) for _ in range(rng.randint(1, 6))]
+            g += [K // 2 + rng.randrange(K - K // 2)] + g[:2]
+            sums.append((K, tuple(g)))
+    for K, g in sums:
+        coeffs = [0] * K
+        for e in g:
+            coeffs[e % K] += 1
+        expected = _element_of(K, IntPolynomial(tuple(coeffs)))
+        assert _root_sum_vector(K, g) == expected, (K, g)
+
+
 def test_subfield_degree_confirms_on_coordinates():
     # zeta_12^e + zeta_12^(e+6) = 0 is fixed by every unit, though no unit
     # other than 1 permutes its exponents
@@ -293,10 +324,10 @@ def _ascending_scan(K, generators):
 
 
 def test_subfield_degree_at_orders_one_and_two():
-    # units_mod(1) is [1] and units_mod(2) is [1]: there -1 is not K - 1,
+    # units_mod(1) is (1,) and units_mod(2) is (1,): there -1 is not K - 1,
     # and the scan must still end
     for K in (1, 2):
-        assert units_mod(K) == [1]
+        assert units_mod(K) == (1,)
         for gens in ([(0,)], [(1,)], [(1, -1)], [(0, 1), (1, 1, 1)], []):
             assert subfield_degree(K, gens) == 1
 
@@ -393,7 +424,8 @@ def test_subfield_degree_memo_is_bounded():
 def test_trace_sweep_scans_once_per_distinct_input(monkeypatch):
     # (n, m) and (m, n) hand the scan the same generators, the trace-field
     # pair with its two lists swapped and the Hecke scalars reordered; the
-    # memo must also hold every distinct input of the largest sweep
+    # memo must also hold every distinct input of the largest sweep.  The
+    # scans meet 95 moduli, and the units memo sieves each of them once
     monkeypatch.delenv("VWBM_THREADS", raising=False)
     calls = []
 
@@ -403,7 +435,11 @@ def test_trace_sweep_scans_once_per_distinct_input(monkeypatch):
 
     monkeypatch.setattr(invariants, "subfield_degree", recording)
     scans = _counting_scans(monkeypatch)
+    units_mod.cache_clear()
     assert all(check.passed for check in verify.run_suite(16, "trace"))
+    info = units_mod.cache_info()
+    assert info.misses == info.currsize == len(set(scans)) == 95
+    assert info.maxsize is not None and info.currsize < info.maxsize
 
     def key(K, gens):
         return K, frozenset(
@@ -417,8 +453,8 @@ def test_trace_sweep_scans_once_per_distinct_input(monkeypatch):
 
 def test_units_mod_matches_gcd_scan():
     for K in range(1, 1201):
-        assert units_mod(K) == [a for a in range(1, K + 1)
-                                if math.gcd(a, K) == 1], K
+        assert units_mod(K) == tuple(a for a in range(1, K + 1)
+                                     if math.gcd(a, K) == 1), K
 
 
 def _prime_by_division(k):

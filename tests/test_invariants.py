@@ -98,6 +98,19 @@ def test_covers_are_listed_in_order():
         assert listed == sorted(set(listed))
 
 
+def test_spectrum_sweep_lists_each_pair_covers_once(monkeypatch):
+    # the spectrum check asks for the covers of each of the 224 pairs and
+    # the swap check for both orientations of each n <= m: 462 calls, and
+    # the bounded memo builds each list once
+    from vwbm import verify
+    monkeypatch.delenv("VWBM_THREADS", raising=False)
+    covers.cache_clear()
+    assert all(check.passed for check in verify.run_suite(16, "spectrum"))
+    info = covers.cache_info()
+    assert (info.misses, info.hits + info.misses) == (224, 462)
+    assert info.maxsize is not None and info.currsize < info.maxsize
+
+
 def test_verify_cover_identity_and_rejection():
     params = CurveParams(3, 4)
     cert = verify_cover(params, params)
